@@ -46,6 +46,7 @@ from .evaluation import (
 )
 from .intervals import (
     BinPartition,
+    IntervalBatch,
     IntervalSet,
     PredictionInterval,
     assign_bin,

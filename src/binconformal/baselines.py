@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import nbinom, norm, poisson
 
 from .errors import ConfigurationError, DataError, NumericalError
-from .intervals import PredictionInterval
+from .intervals import IntervalBatch, PredictionInterval
 from .models import OutcomeTransform
 
 INF = math.inf
@@ -57,7 +57,7 @@ def bootstrap_intervals(
     n_draws: int = 2000,
     rng=None,
     support_min: float = -INF,
-) -> list[PredictionInterval]:
+) -> IntervalBatch:
     """Bootstrap intervals for many predictions sharing one residual pool.
 
     ``y_hats`` are on the pool's scale. Each prediction gets ``n_draws``
@@ -82,7 +82,7 @@ def bootstrap_intervals(
     lo, hi = np.quantile(simulated, [alpha / 2, 1 - alpha / 2], axis=1)
     lo = np.maximum(support_min, pool.scale.inverse(lo))
     hi = np.maximum(support_min, pool.scale.inverse(hi))
-    return [PredictionInterval(l, h) for l, h in zip(lo, hi)]
+    return IntervalBatch.from_bounds(lo, hi)
 
 
 def bootstrap_interval(
@@ -96,7 +96,7 @@ def bootstrap_interval(
     """Single-prediction bootstrap interval; see :func:`bootstrap_intervals`."""
     return bootstrap_intervals(
         [y_hat], pool, alpha, n_draws=n_draws, rng=rng, support_min=support_min
-    )[0]
+    )[0].segments[0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def residual_sigma(y_true, y_pred, scale: OutcomeTransform = OutcomeTransform.LO
     return float(np.std(pool.residuals, ddof=1))
 
 
-def poisson_intervals(mus, alpha: float) -> list[PredictionInterval]:
+def poisson_intervals(mus, alpha: float) -> IntervalBatch:
     """Central [alpha/2, 1-alpha/2] Poisson quantile intervals, one per mean."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     if np.any(mus < 0):
@@ -132,14 +132,14 @@ def poisson_intervals(mus, alpha: float) -> list[PredictionInterval]:
     if np.any(positive):
         lo[positive] = poisson.ppf(alpha / 2, mus[positive])
         hi[positive] = poisson.ppf(1 - alpha / 2, mus[positive])
-    return [PredictionInterval(l, h) for l, h in zip(lo, hi)]
+    return IntervalBatch.from_bounds(lo, hi)
 
 
 def poisson_interval(mu: float, alpha: float) -> PredictionInterval:
-    return poisson_intervals([mu], alpha)[0]
+    return poisson_intervals([mu], alpha)[0].segments[0]
 
 
-def negbinom_intervals(mus, dispersion: float, alpha: float) -> list[PredictionInterval]:
+def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
     """Negative-binomial quantile intervals with variance mu + mu^2/dispersion."""
     if not dispersion > 0:
         raise NumericalError(f"dispersion must be positive, got {dispersion}")
@@ -153,11 +153,11 @@ def negbinom_intervals(mus, dispersion: float, alpha: float) -> list[PredictionI
         p = dispersion / (dispersion + mus[positive])
         lo[positive] = nbinom.ppf(alpha / 2, dispersion, p)
         hi[positive] = nbinom.ppf(1 - alpha / 2, dispersion, p)
-    return [PredictionInterval(l, h) for l, h in zip(lo, hi)]
+    return IntervalBatch.from_bounds(lo, hi)
 
 
 def negbinom_interval(mu: float, dispersion: float, alpha: float) -> PredictionInterval:
-    return negbinom_intervals([mu], dispersion, alpha)[0]
+    return negbinom_intervals([mu], dispersion, alpha)[0].segments[0]
 
 
 def estimate_nb_dispersion(y_true, y_pred) -> float | None:

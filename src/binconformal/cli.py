@@ -31,7 +31,7 @@ from .evaluation import (
     run_replications,
     zicount_study,
 )
-from .intervals import bins_from_cutpoints, bins_from_percentiles
+from .intervals import IntervalBatch, bins_from_cutpoints, bins_from_percentiles
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
 from .simulation import STREAM_METHOD, lognormal_dgp, split, zero_inflated_count_dgp
@@ -215,7 +215,12 @@ def _read_truth(path) -> dict:
     rows = io._read_rows(path, ("row_id", "y_true"))
     if not rows:
         raise DataError(f"{path}: no truth records")
-    return {r["row_id"]: io.parse_real(r["y_true"], "y_true") for r in rows}
+    truth = {}
+    for r in rows:
+        if r["row_id"] in truth:
+            raise DataError(f"{path}: duplicate row_id {r['row_id']!r}")
+        truth[r["row_id"]] = io.parse_real(r["y_true"], "y_true")
+    return truth
 
 
 def cmd_evaluate(args) -> int:
@@ -227,8 +232,14 @@ def cmd_evaluate(args) -> int:
             f"row_id mismatch: {len(missing)} interval rows have no truth "
             f"record (first: {missing[0]!r})"
         )
+    if len(truth) != len(order):
+        extra = next(rid for rid in truth if rid not in sets_by_id)
+        raise DataError(
+            f"row_id mismatch: {len(truth) - len(order)} truth rows have no "
+            f"interval (first: {extra!r})"
+        )
     y_true = np.array([truth[rid] for rid in order])
-    sets = [sets_by_id[rid] for rid in order]
+    intervals = IntervalBatch.from_sets(sets_by_id[rid] for rid in order)
 
     if args.group == "none":
         grouping = None
@@ -243,7 +254,7 @@ def cmd_evaluate(args) -> int:
         else:
             grouping = bins_from_cutpoints(value, -math.inf)
 
-    tallies = coverage(sets, y_true, grouping)
+    tallies = coverage(intervals, y_true, grouping)
     rows = []
     for group in (AGGREGATE, *[g for g in tallies if g != AGGREGATE]):
         t = tallies[group]
@@ -261,7 +272,7 @@ def cmd_evaluate(args) -> int:
     }
     io.write_report_rows_csv(args.out, rows, config)
     if args.widths_out:
-        io.write_widths_csv(args.widths_out, order, y_true, sets, config)
+        io.write_widths_csv(args.widths_out, order, y_true, intervals, config)
     return EXIT_OK
 
 

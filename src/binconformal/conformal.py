@@ -20,6 +20,15 @@ Conventions, fixed here so results are deterministic:
   segment that would consist solely of the excluded right edge is empty.
 * Predictions below the declared support minimum are clamped to it before
   interval construction.
+
+The per-row functions (:func:`scp_interval`, :func:`bccp_discontiguous`,
+:func:`bccp_contiguous`) are the reference; the ``*_bounds`` functions
+compute the same endpoints for a whole array of predictions at once and
+are what the pipelines run; they return fresh arrays the caller owns.
+Python's ``max(a, b)`` returns ``b`` only when ``b > a``, and ``min``
+likewise, so the array forms spell out that comparison (``np.where``, or
+``np.copyto`` with a ``where`` mask) in the same argument order:
+``np.maximum`` would pick a different zero from ``max(0.0, -0.0)``.
 """
 
 import math
@@ -29,7 +38,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .intervals import BinPartition, IntervalSet, PredictionInterval, union
+from .intervals import (
+    BinPartition,
+    IntervalBatch,
+    IntervalSet,
+    PredictionInterval,
+    union,
+)
 
 INF = math.inf
 
@@ -42,6 +57,18 @@ class NonconformityMeasure(Enum):
     def score(self, y_true, y_pred):
         scores = np.abs(np.asarray(y_true, dtype=float) - np.asarray(y_pred, dtype=float))
         return float(scores) if np.ndim(scores) == 0 else scores
+
+
+def require_finite(values, what: str) -> np.ndarray:
+    """Values as a flat float array; DataError on any NaN or infinity."""
+    arr = np.asarray(values, dtype=float).ravel()
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DataError(
+            f"{what} must be finite: {int(bad.sum())} NaN or infinite values "
+            f"(first at position {int(np.argmax(bad))}: {arr[bad][0]!r})"
+        )
+    return arr
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -139,11 +166,12 @@ def calibrate(
     With a partition, scores are grouped by the bin of the observed
     outcome and a per-bin quantile is stored for each bin. A bin with no
     calibration records raises unless ``allow_empty_bins`` is set, in
-    which case its quantile is +inf (the whole-bin fallback).
+    which case its quantile is +inf (the whole-bin fallback). NaN or
+    infinite outcomes and predictions raise DataError.
     """
     alpha = _validate_alpha(alpha)
-    yt = np.asarray(y_true, dtype=float).ravel()
-    yp = np.asarray(y_pred, dtype=float).ravel()
+    yt = require_finite(y_true, "calibration outcomes")
+    yp = require_finite(y_pred, "calibration predictions")
     if yt.size != yp.size:
         raise DataError(f"y_true ({yt.size}) and y_pred ({yp.size}) lengths differ")
     if yt.size == 0:
@@ -259,6 +287,55 @@ def bccp_discontiguous(y_hat: float, calibration: ConformalCalibration) -> Inter
 def bccp_contiguous(y_hat: float, calibration: ConformalCalibration) -> PredictionInterval:
     """Contiguized variant: the hull of the discontiguous union."""
     return bccp_discontiguous(y_hat, calibration).hull()
+
+
+def _clamped(y_hats, calibration: ConformalCalibration) -> np.ndarray:
+    """Vectorized :meth:`ConformalCalibration.clamp`."""
+    y = np.asarray(y_hats, dtype=float).ravel()
+    smin = calibration.support_min
+    return np.where(y >= smin, y, smin)
+
+
+def scp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
+    """:func:`scp_interval` for every prediction: (n, 1) lower and upper."""
+    y0 = _clamped(y_hats, calibration)
+    q = calibration.quantile
+    smin = calibration.support_min
+    down = y0 - q
+    lower = np.where(down > smin, down, smin)  # max(smin, y0 - q)
+    return lower[:, None], (y0 + q)[:, None]
+
+
+def bccp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
+    """:func:`bccp_per_bin_interval` for every prediction and bin at once.
+
+    Returns (n, n_bins) lower and upper arrays, column b-1 holding bin b's
+    segment and NaN where the bin contributes none. Slots come in bin
+    order, so they are sorted; segments touching at a breakpoint are not
+    merged here.
+    """
+    partition = _require_bins(calibration)
+    bins = range(1, partition.n_bins + 1)
+    lo_bin, hi_bin = np.array([partition.bin_bounds(b) for b in bins]).T
+    q = np.array([calibration.bin_quantiles[b] for b in bins])
+    y0 = _clamped(y_hats, calibration)[:, None]
+    # for finite y0 an infinite q_b yields the whole bin [lo_b, hi_b] here
+    lower, upper = y0 - q, y0 + q
+    np.copyto(lower, lo_bin, where=lo_bin > lower)  # max(y0 - q_b, lo_b)
+    np.copyto(upper, hi_bin, where=hi_bin < upper)  # min(y0 + q_b, hi_b)
+    empty = (lower > upper) | (
+        (lower == upper) & (upper == hi_bin) & np.isfinite(hi_bin)
+    )  # the second term: only the excluded right edge remains
+    lower[empty] = np.nan
+    upper[empty] = np.nan
+    return lower, upper
+
+
+def bccp_contiguous_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
+    """:func:`bccp_contiguous` for every prediction: the hull of the merged
+    :func:`bccp_bounds` slots, as (n, 1) lower and upper."""
+    hull = IntervalBatch.from_slots(*bccp_bounds(y_hats, calibration)).hull()
+    return hull.lower, hull.upper
 
 
 def grid_interval(

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinConformalError, ConfigurationError, DataError
-from .intervals import BinPartition, bins_from_cutpoints, bins_from_percentiles
+from .intervals import (
+    BinPartition,
+    as_batch,
+    bins_from_cutpoints,
+    bins_from_percentiles,
+)
 from .models import OutcomeTransform, ols_fit, predict
 from .pipelines import METHOD_KINDS, make_intervals
 from .simulation import (
@@ -39,19 +44,22 @@ INF = math.inf
 
 def quartile_labels(y) -> tuple:
     """Labels Q1..Q4 by the empirical quartiles of this sample of y."""
-    arr = np.asarray(y, dtype=float).ravel()
-    partition = bins_from_percentiles(arr, 4)
-    return tuple(f"Q{i}" for i in partition.assign_many(arr)), tuple(
-        f"Q{i}" for i in range(1, partition.n_bins + 1)
-    )
+    codes, names = _group_codes(np.asarray(y, dtype=float).ravel(), QUARTILES)
+    return tuple(names[c - 1] for c in codes.tolist()), names
 
 
-def partition_labels(y, partition: BinPartition) -> tuple:
-    """Labels bin_1..bin_k by the partition of the true outcome."""
-    idx = partition.assign_many(np.asarray(y, dtype=float).ravel())
-    return tuple(f"bin_{i}" for i in idx), tuple(
-        f"bin_{i}" for i in range(1, partition.n_bins + 1)
-    )
+def _group_codes(y: np.ndarray, grouping) -> tuple:
+    """(1-based group index per row, group names) for a coverage grouping."""
+    if grouping is None:
+        return np.zeros(y.size, dtype=int), ()
+    if isinstance(grouping, BinPartition):
+        partition, prefix = grouping, "bin_"
+    elif grouping == QUARTILES:
+        partition, prefix = bins_from_percentiles(y, 4), "Q"
+    else:
+        raise ConfigurationError(f"unknown grouping {grouping!r}")
+    names = tuple(f"{prefix}{i}" for i in range(1, partition.n_bins + 1))
+    return partition.assign_many(y), names
 
 
 @dataclass(frozen=True)
@@ -83,49 +91,35 @@ class GroupTally:
 def coverage(interval_sets, y_true, grouping=None) -> dict:
     """Group-wise tallies of contains(interval_i, y_i).
 
-    ``grouping`` is None (aggregate only), the string "quartiles", or a
-    BinPartition applied to the true outcomes. The aggregate tally is the
-    exact sum of the group tallies.
+    ``interval_sets`` is an IntervalBatch or a sequence of IntervalSets
+    (converted once). ``grouping`` is None (aggregate only), the string
+    "quartiles", or a BinPartition applied to the true outcomes. The
+    aggregate tally is the exact sum of the group tallies.
     """
     y = np.asarray(y_true, dtype=float).ravel()
-    sets = list(interval_sets)
-    if len(sets) != y.size:
+    batch = as_batch(interval_sets)
+    if len(batch) != y.size:
         raise DataError(
-            f"interval count ({len(sets)}) does not match outcome count ({y.size})"
+            f"interval count ({len(batch)}) does not match outcome count ({y.size})"
         )
-    if grouping is None:
-        labels, order = (AGGREGATE,) * y.size, ()
-    elif isinstance(grouping, BinPartition):
-        labels, order = partition_labels(y, grouping)
-    elif grouping == QUARTILES:
-        labels, order = quartile_labels(y)
-    else:
-        raise ConfigurationError(f"unknown grouping {grouping!r}")
+    codes, names = _group_codes(y, grouping)
+    covered = batch.contains(y)
+    widths = batch.total_width()
+    infinite = np.isinf(widths)
+    multi = batch.n_segments > 1
 
     tallies = {}
-    for group in (AGGREGATE, *order):
-        if group == AGGREGATE:
-            mask = np.ones(y.size, dtype=bool)
-        else:
-            mask = np.asarray([lab == group for lab in labels])
-        n = int(mask.sum())
-        covered = fw_sum = fw_count = inf_count = multi = 0
-        for i in np.flatnonzero(mask):
-            s = sets[i]
-            if s.contains(y[i]):
-                covered += 1
-            w = s.total_width()
-            if math.isinf(w):
-                inf_count += 1
-            else:
-                fw_sum += w
-                fw_count += 1
-            if s.n_segments > 1:
-                multi += 1
+    for code, group in enumerate((AGGREGATE, *names)):
+        mask = np.ones(y.size, dtype=bool) if code == 0 else codes == code
+        finite = widths[mask & ~infinite]
         tallies[group] = GroupTally(
-            n=n, covered=covered, finite_width_sum=fw_sum,
-            finite_width_count=fw_count, inf_width_count=inf_count,
-            multi_segment_count=multi,
+            n=int(np.count_nonzero(mask)),
+            covered=int(np.count_nonzero(covered & mask)),
+            # row-order sum, as a running total would add them
+            finite_width_sum=float(np.cumsum(finite)[-1]) if finite.size else 0.0,
+            finite_width_count=int(finite.size),
+            inf_width_count=int(np.count_nonzero(infinite & mask)),
+            multi_segment_count=int(np.count_nonzero(multi & mask)),
         )
     return tallies
 

@@ -3,7 +3,9 @@
 Everything here is immutable and pure: construction validates and
 normalizes, operations return new values, so all types are safe to share
 across threads. These primitives underpin every interval-producing method
-in the package.
+in the package. :class:`IntervalBatch` holds the interval sets of many
+rows as two arrays; it is what every method builds and every metric
+reads. The per-row types serve single intervals, tests and CSV files.
 
 Bins are numbered from 1. A partition with k breakpoints has k+1 bins,
 each left-closed and right-open, with the last bin extending to +inf.
@@ -120,6 +122,139 @@ def union(intervals: Iterable[PredictionInterval]) -> IntervalSet:
 def hull(interval_set: IntervalSet) -> PredictionInterval:
     """Contiguize an interval set into one interval spanning its endpoints."""
     return interval_set.hull()
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalBatch:
+    """Interval sets of n rows as two float arrays of shape (n, k).
+
+    Slot j of row i is the closed segment [lower[i, j], upper[i, j]]; NaN
+    in both arrays marks an unused slot, and unused slots may sit anywhere
+    in a row. The used slots of a row are sorted and pairwise disjoint,
+    not even touching, so row i covers exactly the points of ``self[i]``.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        if lower.ndim != 2 or lower.shape != upper.shape:
+            raise ValueError(
+                f"endpoint arrays must share one (n, k) shape, got "
+                f"{lower.shape} and {upper.shape}"
+            )
+        if not np.array_equal(np.isnan(lower), np.isnan(upper)):
+            raise ValueError("interval endpoints must not be NaN")
+        if np.any(lower > upper):
+            raise ValueError("invalid interval: lower > upper")
+        # with sorted disjoint slots the running max upper is the previous
+        # used slot's upper; NaN compares False
+        reach = np.full(lower.shape[0], np.nan)
+        for lo, hi in zip(lower.T, upper.T):
+            if np.any(lo <= reach):
+                raise ValueError("segments of a row must be sorted and disjoint")
+            reach = np.fmax(reach, hi)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def from_bounds(cls, lower, upper) -> "IntervalBatch":
+        """One segment per row from two 1-D endpoint arrays."""
+        lo = np.asarray(lower, dtype=float).ravel()
+        hi = np.asarray(upper, dtype=float).ravel()
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("interval endpoints must not be NaN")
+        return cls(lo[:, None], hi[:, None])
+
+    @classmethod
+    def from_slots(cls, lower, upper) -> "IntervalBatch":
+        """Merge each row's overlapping or touching slots into one batch.
+
+        The used slots of a row must come in order of their lower
+        endpoints. Like :class:`IntervalSet`, a slot joins the open segment
+        when its lower endpoint does not exceed the open upper endpoint,
+        which grows only when the slot's upper endpoint is strictly larger.
+        """
+        lower = np.array(lower, dtype=float)
+        upper = np.array(upper, dtype=float)
+        rows = np.arange(lower.shape[0])
+        open_col = np.full(lower.shape[0], -1)
+        for j in range(lower.shape[1]):
+            open_hi = np.where(open_col >= 0, upper[rows, open_col], np.nan)
+            used = ~np.isnan(lower[:, j])
+            joins = lower[:, j] <= open_hi
+            if joins.any():
+                r, c = rows[joins], open_col[joins]
+                grown = upper[r, j] > upper[r, c]
+                upper[r, c] = np.where(grown, upper[r, j], upper[r, c])
+                lower[r, j] = upper[r, j] = np.nan
+            open_col = np.where(used & ~joins, j, open_col)
+        return cls(lower, upper)
+
+    @classmethod
+    def from_sets(cls, interval_sets) -> "IntervalBatch":
+        """Batch of a sequence of :class:`IntervalSet`, one row each."""
+        sets = list(interval_sets)
+        k = max((s.n_segments for s in sets), default=0)
+        lower = np.full((len(sets), k), np.nan)
+        upper = np.full((len(sets), k), np.nan)
+        for i, s in enumerate(sets):
+            for j, seg in enumerate(s.segments):
+                lower[i, j] = seg.lower
+                upper[i, j] = seg.upper
+        return cls(lower, upper)
+
+    def __len__(self) -> int:
+        return self.lower.shape[0]
+
+    def __getitem__(self, i) -> IntervalSet:
+        used = ~np.isnan(self.lower[i])
+        return IntervalSet(tuple(
+            PredictionInterval(lo, hi) for lo, hi in
+            zip(self.lower[i][used].tolist(), self.upper[i][used].tolist())
+        ))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def n_segments(self) -> np.ndarray:
+        return np.count_nonzero(~np.isnan(self.lower), axis=1)
+
+    def contains(self, y) -> np.ndarray:
+        """Per-row closed membership of y[i] in row i."""
+        y = np.asarray(y, dtype=float).reshape(-1, 1)
+        return np.any((self.lower <= y) & (y <= self.upper), axis=1)
+
+    def hull(self) -> "IntervalBatch":
+        """Each row's :meth:`IntervalSet.hull`: its first lower and last
+        upper endpoint as one segment."""
+        used = ~np.isnan(self.lower)
+        if not used.any(axis=1).all():
+            raise DataError("cannot take the hull of an empty interval set")
+        rows = np.arange(len(self))
+        first = used.argmax(axis=1)
+        last = used.shape[1] - 1 - used[:, ::-1].argmax(axis=1)
+        return IntervalBatch(
+            self.lower[rows, first][:, None], self.upper[rows, last][:, None]
+        )
+
+    def total_width(self) -> np.ndarray:
+        """Per-row sum of segment widths, added left to right from 0.0."""
+        total = np.zeros(len(self))
+        with np.errstate(invalid="ignore"):  # inf - inf in an [inf, inf] slot
+            for lo, hi in zip(self.lower.T, self.upper.T):
+                total = total + np.where(np.isnan(lo), 0.0, hi - lo)
+        return total
+
+
+def as_batch(interval_sets) -> IntervalBatch:
+    """The batch itself, or a sequence of interval sets converted once."""
+    if isinstance(interval_sets, IntervalBatch):
+        return interval_sets
+    return IntervalBatch.from_sets(interval_sets)
 
 
 @dataclass(frozen=True)

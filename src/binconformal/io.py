@@ -11,8 +11,10 @@ readers skip comment lines.
 import csv
 import json
 
+import numpy as np
+
 from .errors import DataError
-from .intervals import IntervalSet, PredictionInterval
+from .intervals import IntervalSet, PredictionInterval, as_batch
 
 DATASET_HEADER = ("row_id", "x1", "x2", "y", "split")
 CALIBRATION_HEADER = ("row_id", "y_true", "y_pred")
@@ -101,11 +103,16 @@ def read_calibration_csv(path):
 
 
 def read_test_csv(path):
-    """(row_ids, y_pred, y_true_or_None) from a test file."""
+    """(row_ids, y_pred, y_true_or_None) from a test file; row ids are unique."""
     rows = _read_rows(path, TEST_HEADER)
     if not rows:
         raise DataError(f"{path}: no test records")
     ids = [r["row_id"] for r in rows]
+    seen = set()
+    for rid in ids:
+        if rid in seen:
+            raise DataError(f"{path}: duplicate row_id {rid!r}")
+        seen.add(rid)
     y_pred = [parse_real(r["y_pred"], "y_pred") for r in rows]
     has_truth = all("y_true" in r and r["y_true"] != "" for r in rows)
     y_true = [parse_real(r["y_true"], "y_true") for r in rows] if has_truth else None
@@ -113,35 +120,63 @@ def read_test_csv(path):
 
 
 def write_intervals_csv(path, row_ids, interval_sets, flags=None, config=None):
-    rows = []
-    flags = flags if flags is not None else [()] * len(row_ids)
-    for row_id, interval_set, row_flags in zip(row_ids, interval_sets, flags):
-        for index, seg in enumerate(interval_set):
-            rows.append((
-                row_id, index,
-                format_real(seg.lower), format_real(seg.upper),
-                ";".join(row_flags),
-            ))
+    """One line per segment; ``interval_sets`` is an IntervalBatch or a
+    sequence of IntervalSets, one per row id."""
+    batch = as_batch(interval_sets)
+    row_ids = list(row_ids)
+    if len(row_ids) != len(batch):
+        raise DataError(
+            f"{len(row_ids)} row ids for {len(batch)} interval sets"
+        )
+    if flags is None:
+        flag_text = [""] * len(row_ids)
+    else:
+        flag_text = [";".join(f) for f in flags]
+    used = ~np.isnan(batch.lower)
+    row_of = np.nonzero(used)[0].tolist()
+    rows = zip(
+        [row_ids[i] for i in row_of],
+        (np.cumsum(used, axis=1) - 1)[used].tolist(),
+        map(repr, batch.lower[used].tolist()),
+        map(repr, batch.upper[used].tolist()),
+        [flag_text[i] for i in row_of],
+    )
     _write_rows(path, INTERVAL_HEADER, rows, config)
 
 
 def read_intervals_csv(path):
-    """(ordered row_ids, {row_id: IntervalSet}, {row_id: flags tuple})."""
+    """(ordered row_ids, {row_id: IntervalSet}, {row_id: flags tuple}).
+
+    A row id's segment lines must be consecutive, and each segment must
+    have non-NaN endpoints with lower <= upper.
+    """
     rows = _read_rows(path, INTERVAL_HEADER)
     if not rows:
         raise DataError(f"{path}: no interval records")
     order = []
     segments: dict = {}
     flags: dict = {}
+    previous = None
     for r in rows:
         rid = r["row_id"]
-        if rid not in segments:
+        if rid != previous:
+            if rid in segments:
+                raise DataError(
+                    f"{path}: segments of row_id {rid!r} are not on consecutive lines"
+                )
             order.append(rid)
             segments[rid] = []
             flags[rid] = tuple(t for t in r["flags"].split(";") if t)
-        segments[rid].append(PredictionInterval(
-            parse_real(r["lower"], "lower"), parse_real(r["upper"], "upper")
-        ))
+            previous = rid
+        lower = parse_real(r["lower"], "lower")
+        upper = parse_real(r["upper"], "upper")
+        if not lower <= upper:
+            raise DataError(
+                f"{path}: row_id {rid!r} has an invalid segment "
+                f"[{lower!r}, {upper!r}]: endpoints must be numbers with "
+                f"lower <= upper"
+            )
+        segments[rid].append(PredictionInterval(lower, upper))
     sets = {rid: IntervalSet(tuple(segs)) for rid, segs in segments.items()}
     return order, sets, flags
 
@@ -177,10 +212,15 @@ def write_report_rows_csv(path, rows, config=None):
 
 
 def write_widths_csv(path, row_ids, y_true, interval_sets, config=None):
-    rows = []
-    for rid, y, s in zip(row_ids, y_true, interval_sets):
-        rows.append((
-            rid, format_real(y), format_real(s.total_width()),
-            s.n_segments, int(s.contains(y)),
-        ))
+    """Per-row width, segment count and coverage; ``interval_sets`` as in
+    :func:`write_intervals_csv`."""
+    batch = as_batch(interval_sets)
+    y = np.asarray(y_true, dtype=float).ravel()
+    rows = zip(
+        row_ids,
+        map(repr, y.tolist()),
+        map(repr, batch.total_width().tolist()),
+        batch.n_segments.tolist(),
+        batch.contains(y).astype(int).tolist(),
+    )
     _write_rows(path, WIDTH_HEADER, rows, config)

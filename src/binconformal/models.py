@@ -128,3 +128,14 @@ def round_count_interval(interval: PredictionInterval) -> PredictionInterval:
         return float(max(0.0, np.floor(v + 0.5)))
 
     return PredictionInterval(round_clamp(interval.lower), round_clamp(interval.upper))
+
+
+def round_count_bounds(values) -> np.ndarray:
+    """:func:`round_count_interval`'s rule for an array of endpoints.
+
+    ``np.where`` mirrors ``max(0.0, v)``, which turns -0.0 into 0.0; NaN
+    (an unused slot) stays NaN.
+    """
+    v = np.asarray(values, dtype=float)
+    rounded = np.floor(v + 0.5)
+    return np.where(rounded > 0.0, rounded, np.where(np.isnan(v), v, 0.0))

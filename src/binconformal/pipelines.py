@@ -4,7 +4,9 @@ One entry point builds test-set intervals from calibration pairs plus test
 predictions, handling the scale bookkeeping shared by the CLI and the
 replication harness: transform inputs, clamp out-of-support predictions,
 construct intervals on the transformed scale, back-transform the
-endpoints, and optionally round to the integer count scale.
+endpoints, and optionally round to the integer count scale. Every step
+works on whole arrays of test rows and ends in one
+:class:`~binconformal.intervals.IntervalBatch`.
 """
 
 import math
@@ -14,10 +16,16 @@ import numpy as np
 from scipy.stats import norm
 
 from . import baselines
-from .conformal import bccp_contiguous, bccp_discontiguous, calibrate, scp_interval
+from .conformal import (
+    bccp_bounds,
+    bccp_contiguous_bounds,
+    calibrate,
+    require_finite,
+    scp_bounds,
+)
 from .errors import ConfigurationError, DataError
-from .intervals import BinPartition, IntervalSet, PredictionInterval, union
-from .models import OutcomeTransform, round_count_interval
+from .intervals import BinPartition, IntervalBatch
+from .models import OutcomeTransform, round_count_bounds
 
 INF = math.inf
 
@@ -33,15 +41,27 @@ METHOD_KINDS = (
     "quantreg",
 )
 
-CONFORMAL_KINDS = ("scp", "bccp-d", "bccp-c")
+CONFORMAL_BOUNDS = {
+    "scp": scp_bounds,
+    "bccp-d": bccp_bounds,
+    "bccp-c": bccp_contiguous_bounds,
+}
 LOG_FAMILY = (OutcomeTransform.LOG, OutcomeTransform.LOG1P)
+
+# every possible row-flag tuple, in file order, indexed by
+# clamped + 2 * unbounded + 4 * crossed
+FLAG_NAMES = ("clamped", "unbounded", "crossed")
+FLAG_TUPLES = tuple(
+    tuple(name for bit, name in enumerate(FLAG_NAMES) if code & (1 << bit))
+    for code in range(8)
+)
 
 
 @dataclass(frozen=True, eq=False)
 class MethodIntervals:
-    """Per-test-case interval sets with row flags and method-level notes."""
+    """Test-row interval sets with row flags and method-level notes."""
 
-    sets: list
+    sets: IntervalBatch
     flags: list
     notes: tuple = ()
 
@@ -63,24 +83,16 @@ def _clamp_predictions(y_pred, transform, support_min):
     return np.maximum(arr, floor), clamped
 
 
-def _rounded(interval_set: IntervalSet) -> IntervalSet:
-    return union(round_count_interval(seg) for seg in interval_set)
-
-
-def _finish(segments_per_row, clamped, round_counts, notes=()):
-    sets = []
-    flags = []
-    for row_set, was_clamped in zip(segments_per_row, clamped):
-        if round_counts:
-            row_set = _rounded(row_set)
-        row_flags = []
-        if was_clamped:
-            row_flags.append("clamped")
-        if row_set.total_width() == INF:
-            row_flags.append("unbounded")
-        sets.append(row_set)
-        flags.append(tuple(row_flags))
-    return MethodIntervals(sets=sets, flags=flags, notes=tuple(notes))
+def _finish(batch, clamped, round_counts, notes=(), crossed=None):
+    if round_counts:
+        batch = IntervalBatch.from_slots(
+            round_count_bounds(batch.lower), round_count_bounds(batch.upper)
+        )
+    codes = clamped + 2 * (batch.total_width() == INF)
+    if crossed is not None:
+        codes = codes + 4 * crossed
+    flags = [FLAG_TUPLES[c] for c in codes.tolist()]
+    return MethodIntervals(sets=batch, flags=flags, notes=tuple(notes))
 
 
 def make_intervals(
@@ -109,23 +121,28 @@ def make_intervals(
     transform's domain minimum. ``quantreg_design`` optionally supplies
     (train_features, train_y_raw, test_features); without it the quantile
     regression uses the transformed point prediction as its one regressor,
-    fit on the calibration pairs.
+    fit on the calibration pairs. NaN or infinite calibration outcomes,
+    calibration predictions or test predictions raise DataError.
     """
     if kind not in METHOD_KINDS:
         raise ConfigurationError(
             f"unknown method {kind!r}; expected one of {', '.join(METHOD_KINDS)}"
         )
     smin_raw = transform.support_min if support_min is None else float(support_min)
-    yt_cal = np.asarray(y_true_cal, dtype=float).ravel()
-    yp_cal, _ = _clamp_predictions(y_pred_cal, transform, smin_raw)
-    yp_test, clamped = _clamp_predictions(y_pred_test, transform, smin_raw)
+    yt_cal = require_finite(y_true_cal, "calibration outcomes")
+    yp_cal, _ = _clamp_predictions(
+        require_finite(y_pred_cal, "calibration predictions"), transform, smin_raw
+    )
+    yp_test, clamped = _clamp_predictions(
+        require_finite(y_pred_test, "test predictions"), transform, smin_raw
+    )
     if yt_cal.size != yp_cal.size:
         raise DataError(
             f"calibration outcomes ({yt_cal.size}) and predictions "
             f"({yp_cal.size}) lengths differ"
         )
 
-    if kind in CONFORMAL_KINDS:
+    if kind in CONFORMAL_BOUNDS:
         return _conformal_intervals(
             kind, yt_cal, yp_cal, yp_test, clamped, alpha, transform, bins,
             round_counts, allow_empty_bins, smin_raw,
@@ -157,24 +174,21 @@ def _transformed_support(transform, smin_raw):
     return float(transform.forward(smin_raw))
 
 
-def _back_transform(interval_set, transform, snap=None):
-    """Map segment endpoints back to the raw scale.
+def _back_transform(lower, upper, transform, snap):
+    """Map the used slot endpoints back to the raw scale, in place, with
+    one inverse call.
 
     ``snap`` maps transformed breakpoint values to their exact raw
     counterparts: endpoints that bind at a bin edge must land exactly on
     the raw cutpoint, not a float ulp away from it, or outcomes sitting on
     the cutpoint would drop out of the interval.
     """
-    if transform is OutcomeTransform.IDENTITY:
-        return interval_set
-    snap = snap or {}
-
-    def back(v):
-        return snap[v] if v in snap else float(transform.inverse(v))
-
-    return union(
-        PredictionInterval(back(seg.lower), back(seg.upper)) for seg in interval_set
-    )
+    used = ~np.isnan(lower)
+    values = np.concatenate([lower[used], upper[used]])
+    raw = transform.inverse(values)
+    for transformed, cutpoint in snap.items():
+        raw[values == transformed] = cutpoint
+    lower[used], upper[used] = np.split(raw, 2)
 
 
 def _conformal_intervals(
@@ -203,15 +217,13 @@ def _conformal_intervals(
     notes = []
     if cal.bin_quantiles and any(math.isinf(q) for q in cal.bin_quantiles.values()):
         notes.append("one or more bins fell back to an infinite quantile")
-    p_test_t = transform.forward(yp_test)
-    if kind == "scp":
-        rows = [IntervalSet((scp_interval(p, cal),)) for p in p_test_t]
-    elif kind == "bccp-d":
-        rows = [bccp_discontiguous(p, cal) for p in p_test_t]
-    else:
-        rows = [IntervalSet((bccp_contiguous(p, cal),)) for p in p_test_t]
-    rows = [_back_transform(s, transform, snap) for s in rows]
-    return _finish(rows, clamped, round_counts, notes)
+    lower, upper = CONFORMAL_BOUNDS[kind](transform.forward(yp_test), cal)
+    # back-transform (in place: the bounds are fresh arrays), then merge
+    # once on the raw scale; the inverse is monotone and snapping maps
+    # equal values to equal values, so this equals merging on both scales
+    if transform is not OutcomeTransform.IDENTITY:
+        _back_transform(lower, upper, transform, snap)
+    return _finish(IntervalBatch.from_slots(lower, upper), clamped, round_counts, notes)
 
 
 def _bootstrap_intervals(
@@ -231,8 +243,7 @@ def _bootstrap_intervals(
     intervals = baselines.bootstrap_intervals(
         y_hats, pool, alpha, n_draws=n_draws, rng=rng, support_min=smin_raw
     )
-    rows = [IntervalSet((iv,)) for iv in intervals]
-    return _finish(rows, clamped, round_counts)
+    return _finish(intervals, clamped, round_counts)
 
 
 def _lognormal_intervals(yt_cal, yp_cal, yp_test, clamped, alpha, transform, round_counts):
@@ -245,13 +256,10 @@ def _lognormal_intervals(yt_cal, yp_cal, yp_test, clamped, alpha, transform, rou
         raise DataError("calibration residuals have zero dispersion")
     z = float(norm.ppf(1 - alpha / 2))
     p_t = transform.forward(yp_test)
-    rows = [
-        IntervalSet((PredictionInterval(
-            transform.inverse(p - z * sigma), transform.inverse(p + z * sigma)
-        ),))
-        for p in p_t
-    ]
-    return _finish(rows, clamped, round_counts)
+    intervals = IntervalBatch.from_bounds(
+        transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma)
+    )
+    return _finish(intervals, clamped, round_counts)
 
 
 def _count_intervals(kind, yt_cal, yp_cal, yp_test, clamped, alpha, round_counts):
@@ -268,8 +276,7 @@ def _count_intervals(kind, yt_cal, yp_cal, yp_test, clamped, alpha, round_counts
             intervals = baselines.negbinom_intervals(mus, dispersion, alpha)
     else:
         intervals = baselines.poisson_intervals(mus, alpha)
-    rows = [IntervalSet((iv,)) for iv in intervals]
-    return _finish(rows, clamped, round_counts, notes)
+    return _finish(intervals, clamped, round_counts, notes)
 
 
 def _quantreg_intervals(
@@ -285,13 +292,8 @@ def _quantreg_intervals(
     model = baselines.quantreg_pair(X_fit, y_fit, alpha)
     lo_t = model.lower.predict(np.asarray(X_test, dtype=float))
     hi_t = model.upper.predict(np.asarray(X_test, dtype=float))
-    crossed = lo_t > hi_t
-    lo = transform.inverse(np.minimum(lo_t, hi_t))
-    hi = transform.inverse(np.maximum(lo_t, hi_t))
-    rows = [IntervalSet((PredictionInterval(l, h),)) for l, h in zip(lo, hi)]
-    result = _finish(rows, clamped, round_counts)
-    merged_flags = [
-        flags + ("crossed",) if was_crossed else flags
-        for flags, was_crossed in zip(result.flags, crossed)
-    ]
-    return MethodIntervals(sets=result.sets, flags=merged_flags, notes=result.notes)
+    intervals = IntervalBatch.from_bounds(
+        transform.inverse(np.minimum(lo_t, hi_t)),
+        transform.inverse(np.maximum(lo_t, hi_t)),
+    )
+    return _finish(intervals, clamped, round_counts, crossed=lo_t > hi_t)

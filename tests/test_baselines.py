@@ -94,7 +94,7 @@ class TestBootstrap:
         ivs = bootstrap_intervals([0.0, 10.0], pool, 0.2, n_draws=2000, rng=9)
         assert len(ivs) == 2
         # shifting the prediction shifts the interval, width stays comparable
-        assert abs(ivs[1].width - ivs[0].width) < 0.5
+        assert abs(ivs[1].total_width() - ivs[0].total_width()) < 0.5
 
     def test_empty_pool_raises(self):
         with pytest.raises(DataError):

@@ -201,6 +201,40 @@ class TestIntervalsCommand:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("which, row", [
+        ("test", ("b", "nan")),
+        ("test", ("b", "inf")),
+        ("test", ("b", "-inf")),
+        ("calibration", (0, "nan", 4.8)),
+        ("calibration", (0, 5.0, "inf")),
+    ])
+    def test_non_finite_input_is_data_error(self, tmp_path, which, row):
+        cal_rows = [(i, 5.0, 4.8) for i in range(1, 20)]
+        test_rows = [("a", 9.5)]
+        if which == "test":
+            test_rows.append(row)
+        else:
+            cal_rows.append(row)
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"), cal_rows)
+        write_csv(test, ("row_id", "y_pred"), test_rows)
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+        ]) == 3
+        assert not out.exists()
+
+    def test_duplicate_test_row_id_is_data_error(self, two_bin_files, tmp_path, capsys):
+        cal, _ = two_bin_files
+        test = tmp_path / "dup.csv"
+        write_csv(test, ("row_id", "y_pred"), [("a", 9.5), ("b", 2.0), ("a", 3.0)])
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(tmp_path / "iv.csv"),
+        ]) == 3
+        assert "duplicate row_id 'a'" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -264,6 +298,44 @@ class TestEvaluateCommand:
             "evaluate", "--intervals", str(iv), "--truth", str(truth),
             "--out", str(tmp_path / "r.csv"),
         ]) == 3
+
+    def evaluate(self, tmp_path, iv, truth):
+        return main([
+            "evaluate", "--intervals", str(iv), "--truth", str(truth),
+            "--out", str(tmp_path / "r.csv"),
+        ])
+
+    def test_duplicate_truth_row_id_is_data_error(self, tmp_path, capsys):
+        iv = self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")])
+        truth = self.write_truth(tmp_path, [("a", 0.5), ("a", 2.0)])
+        assert self.evaluate(tmp_path, iv, truth) == 3
+        assert "duplicate row_id 'a'" in capsys.readouterr().err
+
+    def test_truth_row_without_interval_is_data_error(self, tmp_path, capsys):
+        iv = self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")])
+        truth = self.write_truth(tmp_path, [("a", 0.5), ("b", 2.0)])
+        assert self.evaluate(tmp_path, iv, truth) == 3
+        assert "'b'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lower, upper", [
+        ("2.0", "1.0"), ("nan", "1.0"), ("0.0", "nan"),
+    ])
+    def test_invalid_segment_is_data_error_naming_row(self, tmp_path, capsys, lower, upper):
+        iv = self.write_intervals(tmp_path, [
+            ("a", 0, "0.0", "1.0", ""), ("b", 0, lower, upper, ""),
+        ])
+        truth = self.write_truth(tmp_path, [("a", 0.5), ("b", 0.5)])
+        assert self.evaluate(tmp_path, iv, truth) == 3
+        assert "row_id 'b'" in capsys.readouterr().err
+
+    def test_non_contiguous_row_segments_is_data_error(self, tmp_path, capsys):
+        iv = self.write_intervals(tmp_path, [
+            ("a", 0, "0.0", "1.0", ""), ("b", 0, "0.0", "1.0", ""),
+            ("a", 1, "3.0", "4.0", ""),
+        ])
+        truth = self.write_truth(tmp_path, [("a", 0.5), ("b", 0.5)])
+        assert self.evaluate(tmp_path, iv, truth) == 3
+        assert "row_id 'a'" in capsys.readouterr().err
 
     def test_empty_interval_file_is_data_error(self, tmp_path):
         iv = self.write_intervals(tmp_path, [])

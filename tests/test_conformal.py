@@ -123,6 +123,14 @@ class TestCalibrate:
         with pytest.raises(DataError):
             calibrate([-1.0, 2.0], [0.0, 2.0], 0.1, support_min=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome_or_prediction_rejected(self, bad):
+        y = np.arange(1.0, 21.0)
+        for y_true, y_pred in ((np.append(y, bad), np.append(y, 1.0)),
+                               (np.append(y, 1.0), np.append(y, bad))):
+            with pytest.raises(DataError, match="finite"):
+                calibrate(y_true, y_pred, 0.1)
+
     def test_empty_bin_raises_by_default(self):
         partition = bins_from_cutpoints([10.0], support_min=0.0)
         with pytest.raises(DataError, match="bin 2"):

@@ -152,6 +152,17 @@ class TestMakeIntervals:
         with pytest.raises(ConfigurationError):
             make_intervals("magic", np.ones(3), np.ones(3), np.ones(1), alpha=0.1)
 
+    @pytest.mark.parametrize("kind", ["scp", "bccp-d", "bootstrap", "poisson"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, kind, bad):
+        y = np.arange(1.0, 41.0)
+        bins = bins_from_cutpoints([20.0], support_min=0.0) if kind == "bccp-d" else None
+        for position in range(3):
+            args = [y.copy(), y + 0.5, np.array([3.0, 7.0])]
+            args[position][0] = bad
+            with pytest.raises(DataError, match="finite"):
+                make_intervals(kind, *args, alpha=0.1, bins=bins, support_min=0.0)
+
     def test_clamped_predictions_flagged(self):
         result = make_intervals(
             "scp", np.arange(20.0), np.arange(20.0) + 0.5, np.array([-2.0, 3.0]),
