@@ -4,21 +4,16 @@ replication harness."""
 
 from .baselines import (
     ResidualPool,
-    bootstrap_interval,
     bootstrap_intervals,
     estimate_nb_dispersion,
     lognormal_interval,
-    negbinom_interval,
     pinball_loss,
-    poisson_interval,
     quantreg_fit,
-    quantreg_interval,
     quantreg_pair,
     residual_pool,
 )
 from .conformal import (
     ConformalCalibration,
-    NonconformityMeasure,
     bccp_contiguous,
     bccp_discontiguous,
     bccp_per_bin_interval,
@@ -40,7 +35,6 @@ from .evaluation import (
     StudyConfig,
     coverage,
     lognormal_study,
-    mean_width,
     run_replications,
     zicount_study,
 )
@@ -49,10 +43,8 @@ from .intervals import (
     IntervalBatch,
     IntervalSet,
     PredictionInterval,
-    assign_bin,
     bins_from_cutpoints,
     bins_from_percentiles,
-    hull,
     union,
 )
 from .models import (

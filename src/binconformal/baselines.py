@@ -85,20 +85,6 @@ def bootstrap_intervals(
     return IntervalBatch.from_bounds(lo, hi)
 
 
-def bootstrap_interval(
-    y_hat: float,
-    pool: ResidualPool,
-    alpha: float,
-    n_draws: int = 2000,
-    rng=None,
-    support_min: float = -INF,
-) -> PredictionInterval:
-    """Single-prediction bootstrap interval; see :func:`bootstrap_intervals`."""
-    return bootstrap_intervals(
-        [y_hat], pool, alpha, n_draws=n_draws, rng=rng, support_min=support_min
-    )[0].segments[0]
-
-
 # ---------------------------------------------------------------------------
 # parametric intervals
 
@@ -135,10 +121,6 @@ def poisson_intervals(mus, alpha: float) -> IntervalBatch:
     return IntervalBatch.from_bounds(lo, hi)
 
 
-def poisson_interval(mu: float, alpha: float) -> PredictionInterval:
-    return poisson_intervals([mu], alpha)[0].segments[0]
-
-
 def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
     """Negative-binomial quantile intervals with variance mu + mu^2/dispersion."""
     if not dispersion > 0:
@@ -154,10 +136,6 @@ def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
         lo[positive] = nbinom.ppf(alpha / 2, dispersion, p)
         hi[positive] = nbinom.ppf(1 - alpha / 2, dispersion, p)
     return IntervalBatch.from_bounds(lo, hi)
-
-
-def negbinom_interval(mu: float, dispersion: float, alpha: float) -> PredictionInterval:
-    return negbinom_intervals([mu], dispersion, alpha)[0].segments[0]
 
 
 def estimate_nb_dispersion(y_true, y_pred) -> float | None:
@@ -288,16 +266,3 @@ def quantreg_pair(features, y, alpha: float, **kwargs) -> QuantRegModel:
         lower=quantreg_fit(features, y, alpha / 2, **kwargs),
         upper=quantreg_fit(features, y, 1 - alpha / 2, **kwargs),
     )
-
-
-def quantreg_bounds(model: QuantRegModel, x):
-    """Raw (lower-tau, upper-tau) predictions; may cross on hard cases."""
-    return model.lower.predict(x), model.upper.predict(x)
-
-
-def quantreg_interval(model: QuantRegModel, x) -> PredictionInterval:
-    """Interval between the two quantile predictions, swapped if crossed."""
-    lo, hi = quantreg_bounds(model, x)
-    if lo > hi:
-        lo, hi = hi, lo
-    return PredictionInterval(lo, hi)

@@ -13,6 +13,7 @@ configuration error, 3 data error, 4 numerical error.
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,10 +183,6 @@ def cmd_intervals(args) -> int:
     transform = OutcomeTransform(args.transform)
     _, y_true_cal, y_pred_cal = io.read_calibration_csv(args.calibration)
     test_ids, y_pred_test, _ = io.read_test_csv(args.test)
-    if args.method in ("bccp-d", "bccp-c") and args.bins is None:
-        raise ConfigurationError(f"--method {args.method} requires --bins")
-    if args.method not in ("bccp-d", "bccp-c") and args.bins is not None:
-        raise ConfigurationError("--bins only applies to the bccp-* methods")
     bins = _resolve_cli_bins(args.bins, np.asarray(y_true_cal), transform)
     result = make_intervals(
         args.method,
@@ -211,21 +208,10 @@ def cmd_intervals(args) -> int:
     return EXIT_OK
 
 
-def _read_truth(path) -> dict:
-    rows = io._read_rows(path, ("row_id", "y_true"))
-    if not rows:
-        raise DataError(f"{path}: no truth records")
-    truth = {}
-    for r in rows:
-        if r["row_id"] in truth:
-            raise DataError(f"{path}: duplicate row_id {r['row_id']!r}")
-        truth[r["row_id"]] = io.parse_real(r["y_true"], "y_true")
-    return truth
-
-
 def cmd_evaluate(args) -> int:
     order, sets_by_id, _ = io.read_intervals_csv(args.intervals)
-    truth = _read_truth(args.truth)
+    truth_ids, truth_values = io.read_truth_csv(args.truth)
+    truth = dict(zip(truth_ids, truth_values.tolist()))
     missing = [rid for rid in order if rid not in truth]
     if missing:
         raise DataError(
@@ -302,12 +288,11 @@ def cmd_report(args) -> int:
             raise ConfigurationError(
                 f"unknown method names {unknown}; available: {sorted(available)}"
             )
-        config = type(config)(**{
-            **config.__dict__,
-            "methods": tuple(m for m in config.methods if m.name in keep),
-        })
+        config = replace(
+            config, methods=tuple(m for m in config.methods if m.name in keep)
+        )
     if args.bootstrap_b is not None:
-        config = type(config)(**{**config.__dict__, "bootstrap_draws": args.bootstrap_b})
+        config = replace(config, bootstrap_draws=args.bootstrap_b)
     report = run_replications(config)
     io.write_report_csv(args.out, report)
     return EXIT_OK

@@ -33,7 +33,6 @@ likewise, so the array forms spell out that comparison (``np.where``, or
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -47,16 +46,6 @@ from .intervals import (
 )
 
 INF = math.inf
-
-
-class NonconformityMeasure(Enum):
-    """Dissimilarity between an observed and a predicted outcome."""
-
-    ABSOLUTE_ERROR = "absolute_error"
-
-    def score(self, y_true, y_pred):
-        scores = np.abs(np.asarray(y_true, dtype=float) - np.asarray(y_pred, dtype=float))
-        return float(scores) if np.ndim(scores) == 0 else scores
 
 
 def require_finite(values, what: str) -> np.ndarray:
@@ -107,45 +96,27 @@ def conformal_pvalue(candidate_score: float, scores) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class CalibrationSet:
-    """Paired calibration outcomes and predictions with their scores.
+class ConformalCalibration:
+    """Calibration scores with precomputed global and per-bin quantiles.
 
-    When a partition is attached, ``bin_indices`` follow the observed
-    outcome ``y_true``, never the prediction.
+    ``scores`` are the absolute errors ``|y_true - y_pred|``. With a
+    partition, ``bin_indices`` follow the observed outcome ``y_true``,
+    never the prediction. ``y_true`` is None for a calibration built
+    from scores only.
     """
 
-    y_true: np.ndarray
-    y_pred: np.ndarray
     scores: np.ndarray
-    partition: BinPartition | None = None
-    bin_indices: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def scores_in_bin(self, index: int) -> np.ndarray:
-        if self.partition is None or self.bin_indices is None:
-            raise ConfigurationError("calibration set has no bin partition")
-        return self.scores[self.bin_indices == index]
-
-
-@dataclass(frozen=True, eq=False)
-class ConformalCalibration:
-    """Calibration scores with precomputed global and per-bin quantiles."""
-
-    records: CalibrationSet
     alpha: float
     support_min: float
     quantile: float
     bin_quantiles: dict | None  # 1-based bin index -> per-bin quantile
+    partition: BinPartition | None = None
+    bin_indices: np.ndarray | None = None
+    y_true: np.ndarray | None = None
 
-    @property
-    def scores(self) -> np.ndarray:
-        return self.records.scores
-
-    @property
-    def partition(self) -> BinPartition | None:
-        return self.records.partition
+    def scores_in_bin(self, index: int) -> np.ndarray:
+        _require_bins(self)
+        return self.scores[self.bin_indices == index]
 
     def clamp(self, y_hat: float) -> float:
         return y_hat if y_hat >= self.support_min else self.support_min
@@ -159,7 +130,6 @@ def calibrate(
     partition: BinPartition | None = None,
     support_min: float = -INF,
     allow_empty_bins: bool = False,
-    measure: NonconformityMeasure = NonconformityMeasure.ABSOLUTE_ERROR,
 ) -> ConformalCalibration:
     """Build a conformal calibration from held-out (y_true, y_pred) pairs.
 
@@ -182,7 +152,7 @@ def calibrate(
         yt < partition.support_min
     ):
         raise DataError("calibration outcome below the partition support minimum")
-    scores = measure.score(yt, yp)
+    scores = np.abs(yt - yp)
 
     bin_indices = None
     bin_quantiles = None
@@ -202,16 +172,15 @@ def calibrate(
             else:
                 bin_quantiles[b] = finite_sample_quantile(bin_scores, alpha)
 
-    records = CalibrationSet(
-        y_true=yt, y_pred=yp, scores=scores,
-        partition=partition, bin_indices=bin_indices,
-    )
     return ConformalCalibration(
-        records=records,
+        scores=scores,
         alpha=alpha,
         support_min=float(support_min),
         quantile=finite_sample_quantile(scores, alpha),
         bin_quantiles=bin_quantiles,
+        partition=partition,
+        bin_indices=bin_indices,
+        y_true=yt,
     )
 
 
@@ -220,13 +189,8 @@ def calibration_from_scores(
 ) -> ConformalCalibration:
     """Calibration carrying only global scores (enough for SCP)."""
     arr = np.asarray(scores, dtype=float).ravel()
-    if arr.size == 0:
-        raise DataError("empty calibration: no nonconformity scores")
-    records = CalibrationSet(
-        y_true=np.full(arr.size, np.nan), y_pred=np.full(arr.size, np.nan), scores=arr
-    )
     return ConformalCalibration(
-        records=records,
+        scores=arr,
         alpha=_validate_alpha(alpha),
         support_min=float(support_min),
         quantile=finite_sample_quantile(arr, alpha),
@@ -243,7 +207,7 @@ def scp_interval(y_hat: float, calibration: ConformalCalibration) -> PredictionI
 
 
 def _require_bins(calibration: ConformalCalibration) -> BinPartition:
-    if calibration.partition is None or calibration.bin_quantiles is None:
+    if calibration.partition is None:
         raise ConfigurationError("calibration was built without a bin partition")
     return calibration.partition
 
@@ -343,7 +307,6 @@ def grid_interval(
     scores,
     y_grid,
     alpha: float,
-    measure: NonconformityMeasure = NonconformityMeasure.ABSOLUTE_ERROR,
 ) -> IntervalSet:
     """Brute-force conformal set: grid points whose p-value exceeds alpha.
 
@@ -361,7 +324,7 @@ def grid_interval(
         raise ConfigurationError("y_grid must be non-empty")
     if np.any(np.diff(grid) < 0):
         raise ConfigurationError("y_grid must be sorted ascending")
-    candidate_scores = measure.score(grid, float(y_hat))
+    candidate_scores = np.abs(grid - float(y_hat))
     count_ge = arr.size - np.searchsorted(arr, candidate_scores, side="left")
     accepted = (1 + count_ge) / (arr.size + 1) > alpha
 
@@ -387,8 +350,8 @@ def default_grid(calibration: ConformalCalibration, resolution: int = 4001) -> n
     """
     if resolution < 2:
         raise ConfigurationError("grid resolution must be at least 2")
-    y = calibration.records.y_true
-    if np.any(np.isnan(y)):
+    y = calibration.y_true
+    if y is None:
         raise ConfigurationError(
             "default grid needs calibration outcomes; this calibration was "
             "built from scores only"

@@ -21,7 +21,7 @@ from .intervals import (
     bins_from_percentiles,
 )
 from .models import OutcomeTransform, ols_fit, predict
-from .pipelines import METHOD_KINDS, make_intervals
+from .pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
 from .simulation import (
     CALIBRATION,
     STREAM_METHOD,
@@ -124,19 +124,6 @@ def coverage(interval_sets, y_true, grouping=None) -> dict:
     return tallies
 
 
-def mean_width(interval_sets, values, grouping=None) -> dict:
-    """Per-group mean finite width, keyed like :func:`coverage`.
-
-    ``values`` supplies the grouping variable (true outcomes or point
-    predictions). Infinite-width sets are excluded from the mean and
-    counted separately.
-    """
-    tallies = coverage(interval_sets, values, grouping)
-    return {
-        group: (t.n, t.mean_width, t.inf_width_count) for group, t in tallies.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # replication harness
 
@@ -154,7 +141,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
-        if self.kind in ("bccp-d", "bccp-c") and not (self.n_bins or self.cutpoints):
+        if self.kind in BINNED_KINDS and not (self.n_bins or self.cutpoints):
             raise ConfigurationError(f"method {self.name} needs bins")
 
 

@@ -119,11 +119,6 @@ def union(intervals: Iterable[PredictionInterval]) -> IntervalSet:
     return IntervalSet(tuple(intervals))
 
 
-def hull(interval_set: IntervalSet) -> PredictionInterval:
-    """Contiguize an interval set into one interval spanning its endpoints."""
-    return interval_set.hull()
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalBatch:
     """Interval sets of n rows as two float arrays of shape (n, k).
@@ -304,11 +299,6 @@ class BinPartition:
         hi = INF if index == self.n_bins else self.breakpoints[index - 1]
         return lo, hi
 
-    def bin_interval(self, index: int) -> PredictionInterval:
-        """Closed cover of bin ``index`` (the right-open edge is closed)."""
-        lo, hi = self.bin_bounds(index)
-        return PredictionInterval(lo, hi)
-
     def assign(self, y: float) -> int:
         """Index of the unique bin containing ``y``.
 
@@ -343,11 +333,6 @@ class BinPartition:
             with np.errstate(divide="ignore"):
                 smin = float(forward(self.support_min))
         return BinPartition(tuple(float(forward(b)) for b in self.breakpoints), smin)
-
-
-def assign_bin(y: float, partition: BinPartition) -> int:
-    """Bin index of ``y`` under ``partition`` (left-closed, right-open bins)."""
-    return partition.assign(y)
 
 
 def bins_from_cutpoints(

@@ -13,12 +13,14 @@ import json
 
 import numpy as np
 
+from .conformal import require_finite
 from .errors import DataError
 from .intervals import IntervalSet, PredictionInterval, as_batch
 
 DATASET_HEADER = ("row_id", "x1", "x2", "y", "split")
 CALIBRATION_HEADER = ("row_id", "y_true", "y_pred")
 TEST_HEADER = ("row_id", "y_pred")
+TRUTH_HEADER = ("row_id", "y_true")
 INTERVAL_HEADER = ("row_id", "segment_index", "lower", "upper", "flags")
 REPORT_HEADER = (
     "method", "group", "n", "coverage", "coverage_se",
@@ -102,21 +104,39 @@ def read_calibration_csv(path):
     return ids, y_true, y_pred
 
 
-def read_test_csv(path):
-    """(row_ids, y_pred, y_true_or_None) from a test file; row ids are unique."""
-    rows = _read_rows(path, TEST_HEADER)
-    if not rows:
-        raise DataError(f"{path}: no test records")
+def _unique_ids(path, rows):
     ids = [r["row_id"] for r in rows]
     seen = set()
     for rid in ids:
         if rid in seen:
             raise DataError(f"{path}: duplicate row_id {rid!r}")
         seen.add(rid)
+    return ids
+
+
+def read_test_csv(path):
+    """(row_ids, y_pred, y_true_or_None) from a test file; row ids are unique."""
+    rows = _read_rows(path, TEST_HEADER)
+    if not rows:
+        raise DataError(f"{path}: no test records")
+    ids = _unique_ids(path, rows)
     y_pred = [parse_real(r["y_pred"], "y_pred") for r in rows]
     has_truth = all("y_true" in r and r["y_true"] != "" for r in rows)
     y_true = [parse_real(r["y_true"], "y_true") for r in rows] if has_truth else None
     return ids, y_pred, y_true
+
+
+def read_truth_csv(path):
+    """(row_ids, y_true) from a file carrying row_id and y_true columns;
+    row ids are unique and every y_true is finite."""
+    rows = _read_rows(path, TRUTH_HEADER)
+    if not rows:
+        raise DataError(f"{path}: no truth records")
+    ids = _unique_ids(path, rows)
+    y_true = require_finite(
+        [parse_real(r["y_true"], "y_true") for r in rows], f"{path}: y_true"
+    )
+    return ids, y_true
 
 
 def write_intervals_csv(path, row_ids, interval_sets, flags=None, config=None):
@@ -183,23 +203,20 @@ def read_intervals_csv(path):
 
 def write_report_csv(path, report, config=None):
     """Serialize a CoverageReport (one row per method x group)."""
-    rows = []
-    for method in report.methods:
-        for group in report.groups:
-            if (method, group) not in report.stats:
-                continue
-            s = report.stats[(method, group)]
-            rows.append((
-                method, group, s.n,
-                format_real(s.coverage), format_real(s.coverage_se),
-                format_real(s.mean_width), s.inf_width_count,
-                format_real(s.discontiguity_rate),
-            ))
-    _write_rows(path, REPORT_HEADER, rows, config or report.config)
+    rows = [
+        (
+            method, group, s.n, s.coverage, s.coverage_se,
+            s.mean_width, s.inf_width_count, s.discontiguity_rate,
+        )
+        for method in report.methods for group in report.groups
+        if (s := report.stats.get((method, group))) is not None
+    ]
+    write_report_rows_csv(path, rows, config or report.config)
 
 
 def write_report_rows_csv(path, rows, config=None):
-    """Serialize pre-built report rows (single-run evaluation)."""
+    """Serialize pre-built report rows, each a tuple in
+    :data:`REPORT_HEADER` order."""
     formatted = [
         (
             method, group, n,

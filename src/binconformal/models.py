@@ -64,10 +64,6 @@ class LinearModel:
     coefficients: np.ndarray
     transform: OutcomeTransform
 
-    @property
-    def n_features(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def _design(features) -> np.ndarray:
     X = np.asarray(features, dtype=float)

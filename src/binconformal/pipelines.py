@@ -11,6 +11,7 @@ works on whole arrays of test rows and ends in one
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm
@@ -29,23 +30,7 @@ from .models import OutcomeTransform, round_count_bounds
 
 INF = math.inf
 
-METHOD_KINDS = (
-    "scp",
-    "bccp-d",
-    "bccp-c",
-    "bootstrap",
-    "bootstrap-log",
-    "lognormal",
-    "poisson",
-    "negbinom",
-    "quantreg",
-)
-
-CONFORMAL_BOUNDS = {
-    "scp": scp_bounds,
-    "bccp-d": bccp_bounds,
-    "bccp-c": bccp_contiguous_bounds,
-}
+BINNED_KINDS = ("bccp-d", "bccp-c")
 LOG_FAMILY = (OutcomeTransform.LOG, OutcomeTransform.LOG1P)
 
 # every possible row-flag tuple, in file order, indexed by
@@ -66,9 +51,27 @@ class MethodIntervals:
     notes: tuple = ()
 
 
-def _clamp_predictions(y_pred, transform, support_min):
+@dataclass(frozen=True, eq=False)
+class _Inputs:
+    """Validated inputs of one :func:`make_intervals` call, as every
+    builder reads them: finite float arrays, predictions already clamped,
+    ``support_min`` on the raw scale."""
+
+    y_true_cal: np.ndarray
+    y_pred_cal: np.ndarray
+    y_pred_test: np.ndarray
+    alpha: float
+    transform: OutcomeTransform
+    bins: BinPartition | None
+    allow_empty_bins: bool
+    n_draws: int
+    rng: object
+    support_min: float
+    quantreg_design: tuple | None
+
+
+def _clamp_predictions(arr, transform, support_min):
     """Clamp raw predictions the transform cannot accept; report which."""
-    arr = np.asarray(y_pred, dtype=float).ravel()
     if transform is OutcomeTransform.LOG:
         if np.any(arr <= 0):
             raise DataError(
@@ -81,18 +84,6 @@ def _clamp_predictions(y_pred, transform, support_min):
         return arr, np.zeros(arr.size, dtype=bool)
     clamped = arr < floor
     return np.maximum(arr, floor), clamped
-
-
-def _finish(batch, clamped, round_counts, notes=(), crossed=None):
-    if round_counts:
-        batch = IntervalBatch.from_slots(
-            round_count_bounds(batch.lower), round_count_bounds(batch.upper)
-        )
-    codes = clamped + 2 * (batch.total_width() == INF)
-    if crossed is not None:
-        codes = codes + 4 * crossed
-    flags = [FLAG_TUPLES[c] for c in codes.tolist()]
-    return MethodIntervals(sets=batch, flags=flags, notes=tuple(notes))
 
 
 def make_intervals(
@@ -117,17 +108,22 @@ def make_intervals(
     scores, bootstrap-log residuals, log-normal dispersions, and quantile
     regressions are computed on transform(y), and interval endpoints are
     mapped back to the raw outcome scale. ``bins`` is a raw-scale
-    partition (bcc methods only). ``support_min`` defaults to the
-    transform's domain minimum. ``quantreg_design`` optionally supplies
+    partition, required by the bccp-* methods and rejected by every other
+    one. ``support_min`` defaults to the transform's domain minimum.
+    ``quantreg_design`` optionally supplies
     (train_features, train_y_raw, test_features); without it the quantile
     regression uses the transformed point prediction as its one regressor,
     fit on the calibration pairs. NaN or infinite calibration outcomes,
     calibration predictions or test predictions raise DataError.
     """
-    if kind not in METHOD_KINDS:
+    if kind not in BUILDERS:
         raise ConfigurationError(
             f"unknown method {kind!r}; expected one of {', '.join(METHOD_KINDS)}"
         )
+    if kind in BINNED_KINDS and bins is None:
+        raise ConfigurationError(f"method {kind} requires outcome bins")
+    if kind not in BINNED_KINDS and bins is not None:
+        raise ConfigurationError("bins only apply to the bccp-* methods")
     smin_raw = transform.support_min if support_min is None else float(support_min)
     yt_cal = require_finite(y_true_cal, "calibration outcomes")
     yp_cal, _ = _clamp_predictions(
@@ -141,29 +137,17 @@ def make_intervals(
             f"calibration outcomes ({yt_cal.size}) and predictions "
             f"({yp_cal.size}) lengths differ"
         )
-
-    if kind in CONFORMAL_BOUNDS:
-        return _conformal_intervals(
-            kind, yt_cal, yp_cal, yp_test, clamped, alpha, transform, bins,
-            round_counts, allow_empty_bins, smin_raw,
+    batch, notes, crossed = BUILDERS[kind](_Inputs(
+        yt_cal, yp_cal, yp_test, alpha, transform, bins, allow_empty_bins,
+        n_draws, rng, smin_raw, quantreg_design,
+    ))
+    if round_counts:
+        batch = IntervalBatch.from_slots(
+            round_count_bounds(batch.lower), round_count_bounds(batch.upper)
         )
-    if kind in ("bootstrap", "bootstrap-log"):
-        return _bootstrap_intervals(
-            kind, yt_cal, yp_cal, yp_test, clamped, alpha, transform,
-            round_counts, n_draws, rng, smin_raw,
-        )
-    if kind == "lognormal":
-        return _lognormal_intervals(
-            yt_cal, yp_cal, yp_test, clamped, alpha, transform, round_counts
-        )
-    if kind in ("poisson", "negbinom"):
-        return _count_intervals(
-            kind, yt_cal, yp_cal, yp_test, clamped, alpha, round_counts
-        )
-    return _quantreg_intervals(
-        yt_cal, yp_cal, yp_test, clamped, alpha, transform, round_counts,
-        quantreg_design,
-    )
+    codes = clamped + 2 * (batch.total_width() == INF) + 4 * crossed
+    flags = [FLAG_TUPLES[c] for c in codes.tolist()]
+    return MethodIntervals(sets=batch, flags=flags, notes=notes)
 
 
 def _transformed_support(transform, smin_raw):
@@ -191,15 +175,13 @@ def _back_transform(lower, upper, transform, snap):
     lower[used], upper[used] = np.split(raw, 2)
 
 
-def _conformal_intervals(
-    kind, yt_cal, yp_cal, yp_test, clamped, alpha, transform, bins,
-    round_counts, allow_empty_bins, smin_raw,
-):
-    if kind in ("bccp-d", "bccp-c") and bins is None:
-        raise ConfigurationError(f"method {kind} requires outcome bins")
-    if kind == "scp" and bins is not None:
-        raise ConfigurationError("bins only apply to the bccp-* methods")
-    t_smin = _transformed_support(transform, smin_raw)
+# Each builder maps the validated inputs to (batch, notes, crossed): the
+# raw-scale IntervalBatch, a tuple of method-level notes, and a per-row
+# mask of crossed quantile pairs (False where no pair can cross).
+
+
+def _conformal(bounds, inputs):
+    transform, bins = inputs.transform, inputs.bins
     partition = None
     snap = {}
     if bins is not None:
@@ -211,89 +193,106 @@ def _conformal_intervals(
             if math.isfinite(partition.support_min):
                 snap[partition.support_min] = bins.support_min
     cal = calibrate(
-        transform.forward(yt_cal), transform.forward(yp_cal), alpha,
-        partition=partition, support_min=t_smin, allow_empty_bins=allow_empty_bins,
+        transform.forward(inputs.y_true_cal), transform.forward(inputs.y_pred_cal),
+        inputs.alpha, partition=partition,
+        support_min=_transformed_support(transform, inputs.support_min),
+        allow_empty_bins=inputs.allow_empty_bins,
     )
-    notes = []
+    notes = ()
     if cal.bin_quantiles and any(math.isinf(q) for q in cal.bin_quantiles.values()):
-        notes.append("one or more bins fell back to an infinite quantile")
-    lower, upper = CONFORMAL_BOUNDS[kind](transform.forward(yp_test), cal)
+        notes = ("one or more bins fell back to an infinite quantile",)
+    lower, upper = bounds(transform.forward(inputs.y_pred_test), cal)
     # back-transform (in place: the bounds are fresh arrays), then merge
     # once on the raw scale; the inverse is monotone and snapping maps
     # equal values to equal values, so this equals merging on both scales
     if transform is not OutcomeTransform.IDENTITY:
         _back_transform(lower, upper, transform, snap)
-    return _finish(IntervalBatch.from_slots(lower, upper), clamped, round_counts, notes)
+    return IntervalBatch.from_slots(lower, upper), notes, False
 
 
-def _bootstrap_intervals(
-    kind, yt_cal, yp_cal, yp_test, clamped, alpha, transform,
-    round_counts, n_draws, rng, smin_raw,
-):
-    if kind == "bootstrap":
-        scale = OutcomeTransform.IDENTITY
-    else:
-        if transform not in LOG_FAMILY:
-            raise ConfigurationError(
-                "bootstrap-log requires the log or log1p transform"
-            )
-        scale = transform
-    pool = baselines.residual_pool(yt_cal, yp_cal, scale)
-    y_hats = scale.forward(yp_test)
-    intervals = baselines.bootstrap_intervals(
-        y_hats, pool, alpha, n_draws=n_draws, rng=rng, support_min=smin_raw
+def _log_scale(inputs, method):
+    if inputs.transform not in LOG_FAMILY:
+        raise ConfigurationError(f"{method} requires the log or log1p transform")
+    return inputs.transform
+
+
+def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
+    pool = baselines.residual_pool(inputs.y_true_cal, inputs.y_pred_cal, scale)
+    batch = baselines.bootstrap_intervals(
+        scale.forward(inputs.y_pred_test), pool, inputs.alpha,
+        n_draws=inputs.n_draws, rng=inputs.rng, support_min=inputs.support_min,
     )
-    return _finish(intervals, clamped, round_counts)
+    return batch, (), False
 
 
-def _lognormal_intervals(yt_cal, yp_cal, yp_test, clamped, alpha, transform, round_counts):
-    if transform not in LOG_FAMILY:
-        raise ConfigurationError(
-            "the log-normal method requires the log or log1p transform"
-        )
-    sigma = baselines.residual_sigma(yt_cal, yp_cal, transform)
+def _bootstrap_log(inputs):
+    return _bootstrap(inputs, _log_scale(inputs, "bootstrap-log"))
+
+
+def _lognormal(inputs):
+    transform = _log_scale(inputs, "the log-normal method")
+    sigma = baselines.residual_sigma(inputs.y_true_cal, inputs.y_pred_cal, transform)
     if sigma <= 0:
         raise DataError("calibration residuals have zero dispersion")
-    z = float(norm.ppf(1 - alpha / 2))
-    p_t = transform.forward(yp_test)
-    intervals = IntervalBatch.from_bounds(
+    z = float(norm.ppf(1 - inputs.alpha / 2))
+    p_t = transform.forward(inputs.y_pred_test)
+    batch = IntervalBatch.from_bounds(
         transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma)
     )
-    return _finish(intervals, clamped, round_counts)
+    return batch, (), False
 
 
-def _count_intervals(kind, yt_cal, yp_cal, yp_test, clamped, alpha, round_counts):
-    if np.any(yt_cal < 0):
+def _count_means(inputs):
+    if np.any(inputs.y_true_cal < 0):
         raise DataError("count-distribution methods need nonnegative outcomes")
-    mus = np.maximum(0.0, yp_test)
-    notes = []
-    if kind == "negbinom":
-        dispersion = baselines.estimate_nb_dispersion(yt_cal, np.maximum(0.0, yp_cal))
-        if dispersion is None:
-            notes.append("no overdispersion in calibration; using Poisson quantiles")
-            intervals = baselines.poisson_intervals(mus, alpha)
-        else:
-            intervals = baselines.negbinom_intervals(mus, dispersion, alpha)
-    else:
-        intervals = baselines.poisson_intervals(mus, alpha)
-    return _finish(intervals, clamped, round_counts, notes)
+    return np.maximum(0.0, inputs.y_pred_test)
 
 
-def _quantreg_intervals(
-    yt_cal, yp_cal, yp_test, clamped, alpha, transform, round_counts, quantreg_design,
-):
-    if quantreg_design is not None:
-        X_fit, y_fit_raw, X_test = quantreg_design
+def _poisson(inputs):
+    return baselines.poisson_intervals(_count_means(inputs), inputs.alpha), (), False
+
+
+def _negbinom(inputs):
+    mus = _count_means(inputs)
+    dispersion = baselines.estimate_nb_dispersion(
+        inputs.y_true_cal, np.maximum(0.0, inputs.y_pred_cal)
+    )
+    if dispersion is None:
+        notes = ("no overdispersion in calibration; using Poisson quantiles",)
+        return baselines.poisson_intervals(mus, inputs.alpha), notes, False
+    return baselines.negbinom_intervals(mus, dispersion, inputs.alpha), (), False
+
+
+def _quantreg(inputs):
+    transform = inputs.transform
+    if inputs.quantreg_design is not None:
+        X_fit, y_fit_raw, X_test = inputs.quantreg_design
         y_fit = transform.forward(np.asarray(y_fit_raw, dtype=float).ravel())
     else:
-        X_fit = transform.forward(yp_cal)[:, None]
-        y_fit = transform.forward(yt_cal)
-        X_test = transform.forward(yp_test)[:, None]
-    model = baselines.quantreg_pair(X_fit, y_fit, alpha)
+        X_fit = transform.forward(inputs.y_pred_cal)[:, None]
+        y_fit = transform.forward(inputs.y_true_cal)
+        X_test = transform.forward(inputs.y_pred_test)[:, None]
+    model = baselines.quantreg_pair(X_fit, y_fit, inputs.alpha)
     lo_t = model.lower.predict(np.asarray(X_test, dtype=float))
     hi_t = model.upper.predict(np.asarray(X_test, dtype=float))
-    intervals = IntervalBatch.from_bounds(
+    batch = IntervalBatch.from_bounds(
         transform.inverse(np.minimum(lo_t, hi_t)),
         transform.inverse(np.maximum(lo_t, hi_t)),
     )
-    return _finish(intervals, clamped, round_counts, crossed=lo_t > hi_t)
+    return batch, (), lo_t > hi_t
+
+
+# builders look calibrate and the baselines up as module globals at call
+# time, so a wrapper installed on those bindings sees every call
+BUILDERS = {
+    "scp": partial(_conformal, scp_bounds),
+    "bccp-d": partial(_conformal, bccp_bounds),
+    "bccp-c": partial(_conformal, bccp_contiguous_bounds),
+    "bootstrap": _bootstrap,
+    "bootstrap-log": _bootstrap_log,
+    "lognormal": _lognormal,
+    "poisson": _poisson,
+    "negbinom": _negbinom,
+    "quantreg": _quantreg,
+}
+METHOD_KINDS = tuple(BUILDERS)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from binconformal.baselines import lognormal_interval, poisson_interval, quantreg_fit
+from binconformal.baselines import lognormal_interval, poisson_intervals, quantreg_fit
 from binconformal.cli import main
 from binconformal.conformal import (
     bccp_contiguous,
@@ -153,7 +153,7 @@ class TestCriterion3ConformalGuarantee:
                 y_cal, p_cal, alpha, partition=partition, support_min=0.0
             )
             n_cal = len(y_cal)
-            n_bin = int(np.sum(cal_bin.records.bin_indices == 1))
+            n_bin = int(np.sum(cal_bin.bin_indices == 1))
             scp_covered = [
                 scp_interval(p, cal_scp).contains(y)
                 for p, y in zip(p_test, y_test)
@@ -248,7 +248,7 @@ class TestCriterion4OracleEquivalence:
             y_hat_b = float(rng.uniform(lo - 2, hi + 2))
             piece = bccp_per_bin_interval(y_hat_b, 1, cal_b)
             bin_oracle = grid_interval(
-                max(y_hat_b, lo), cal_b.records.scores_in_bin(1), bin_grid, alpha
+                max(y_hat_b, lo), cal_b.scores_in_bin(1), bin_grid, alpha
             )
             if piece is None:
                 assert bin_oracle.is_empty or (
@@ -398,7 +398,7 @@ class TestCriterion7BaselineUnits:
                 hi = k
                 break
         assert (lo, hi) == (1, 8)
-        ok = poisson_interval(mu, alpha) == PredictionInterval(lo, hi)
+        ok = poisson_intervals([mu], alpha)[0].segments[0] == PredictionInterval(lo, hi)
         report_line(7, ok, "poisson(4, 0.1) = [1, 8] by CDF summation")
         assert ok
 

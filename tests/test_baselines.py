@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import nbinom, poisson
 
+from binconformal import baselines
 from binconformal.baselines import (
     QuantRegFit,
     QuantRegModel,
     ResidualPool,
-    bootstrap_interval,
     bootstrap_intervals,
     estimate_nb_dispersion,
     lognormal_interval,
-    negbinom_interval,
+    negbinom_intervals,
     pinball_loss,
-    poisson_interval,
-    quantreg_bounds,
+    poisson_intervals,
     quantreg_fit,
-    quantreg_interval,
     quantreg_pair,
     residual_pool,
     residual_sigma,
@@ -25,6 +23,7 @@ from binconformal.baselines import (
 from binconformal.errors import ConfigurationError, DataError, NumericalError
 from binconformal.intervals import PredictionInterval
 from binconformal.models import OutcomeTransform
+from binconformal.pipelines import make_intervals
 
 IDENTITY = OutcomeTransform.IDENTITY
 LOG = OutcomeTransform.LOG
@@ -47,17 +46,18 @@ class TestResidualPool:
 class TestBootstrap:
     def test_zero_residuals_degenerate(self):
         pool = ResidualPool(np.zeros(50))
-        assert bootstrap_interval(4.2, pool, 0.1, rng=0) == PredictionInterval(4.2, 4.2)
+        iv = bootstrap_intervals([4.2], pool, 0.1, rng=0)[0].segments[0]
+        assert iv == PredictionInterval(4.2, 4.2)
 
     def test_symmetric_two_point_pool(self):
         pool = ResidualPool(np.array([-1.0, 1.0] * 50))
-        iv = bootstrap_interval(10.0, pool, alpha=0.5, n_draws=4000, rng=3)
+        iv = bootstrap_intervals([10.0], pool, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
         assert iv.lower == pytest.approx(9.0, abs=1e-9)
         assert iv.upper == pytest.approx(11.0, abs=1e-9)
 
     def test_log_pool_back_transformed(self):
         pool = ResidualPool(np.array([-0.1, 0.1] * 50), scale=LOG)
-        iv = bootstrap_interval(1.0, pool, alpha=0.5, n_draws=4000, rng=3)
+        iv = bootstrap_intervals([1.0], pool, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
         assert iv.lower == pytest.approx(math.exp(0.9), abs=1e-9)
         assert iv.upper == pytest.approx(math.exp(1.1), abs=1e-9)
 
@@ -65,28 +65,28 @@ class TestBootstrap:
         # basic form: a long right tail in the errors stretches the LOWER
         # bound, not the upper one
         pool = ResidualPool(np.array([-1.0] * 80 + [10.0] * 20))
-        iv = bootstrap_interval(0.0, pool, alpha=0.2, n_draws=4000, rng=6)
+        iv = bootstrap_intervals([0.0], pool, alpha=0.2, n_draws=4000, rng=6)[0].segments[0]
         assert iv.lower == pytest.approx(-10.0, abs=1e-9)
         assert iv.upper == pytest.approx(1.0, abs=1e-9)
 
     def test_clamped_at_support(self):
         pool = ResidualPool(np.array([-5.0, 5.0] * 50))
-        iv = bootstrap_interval(1.0, pool, alpha=0.5, n_draws=2000, rng=1,
-                                support_min=0.0)
+        iv = bootstrap_intervals([1.0], pool, alpha=0.5, n_draws=2000, rng=1,
+                                 support_min=0.0)[0].segments[0]
         assert iv.lower == 0.0
 
     def test_endpoints_stable_under_doubling_draws(self):
         rng = np.random.default_rng(55)
         pool = ResidualPool(rng.normal(size=200))
-        a = bootstrap_interval(0.0, pool, 0.1, n_draws=2000, rng=10)
-        b = bootstrap_interval(0.0, pool, 0.1, n_draws=4000, rng=11)
+        a = bootstrap_intervals([0.0], pool, 0.1, n_draws=2000, rng=10)[0].segments[0]
+        b = bootstrap_intervals([0.0], pool, 0.1, n_draws=4000, rng=11)[0].segments[0]
         assert abs(a.lower - b.lower) < 0.1
         assert abs(a.upper - b.upper) < 0.1
 
     def test_same_seed_is_deterministic(self):
         pool = ResidualPool(np.random.default_rng(2).normal(size=80))
-        a = bootstrap_interval(1.0, pool, 0.2, rng=42)
-        b = bootstrap_interval(1.0, pool, 0.2, rng=42)
+        a = bootstrap_intervals([1.0], pool, 0.2, rng=42)[0].segments[0]
+        b = bootstrap_intervals([1.0], pool, 0.2, rng=42)[0].segments[0]
         assert a == b
 
     def test_batch_matches_independent_columns(self):
@@ -98,11 +98,11 @@ class TestBootstrap:
 
     def test_empty_pool_raises(self):
         with pytest.raises(DataError):
-            bootstrap_interval(0.0, ResidualPool(np.array([])), 0.1)
+            bootstrap_intervals([0.0], ResidualPool(np.array([])), 0.1)
 
     def test_too_few_draws_rejected(self):
         with pytest.raises(ConfigurationError):
-            bootstrap_interval(0.0, ResidualPool(np.ones(5)), 0.1, n_draws=50)
+            bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, n_draws=50)
 
 
 class TestLognormalInterval:
@@ -160,7 +160,7 @@ def brute_count_quantiles(pmf, alpha, k_max=10_000):
 
 class TestCountIntervals:
     def test_poisson_zero_mean(self):
-        assert poisson_interval(0.0, 0.1) == PredictionInterval(0, 0)
+        assert poisson_intervals([0.0], 0.1)[0].segments[0] == PredictionInterval(0, 0)
 
     def test_poisson_mu4_against_cdf_summation(self):
         mu = 4.0
@@ -168,41 +168,42 @@ class TestCountIntervals:
             lambda k: math.exp(-mu) * mu**k / math.factorial(k), alpha=0.1
         )
         assert (lo, hi) == (1, 8)
-        assert poisson_interval(mu, 0.1) == PredictionInterval(lo, hi)
+        assert poisson_intervals([mu], 0.1)[0].segments[0] == PredictionInterval(lo, hi)
 
     def test_negbinom_against_pmf_summation(self):
         mu, theta, alpha = 4.0, 2.0, 0.1
         p = theta / (theta + mu)
         lo, hi = brute_count_quantiles(lambda k: nbinom.pmf(k, theta, p), alpha)
         assert (lo, hi) == (0, 11)
-        assert negbinom_interval(mu, theta, alpha) == PredictionInterval(lo, hi)
+        iv = negbinom_intervals([mu], theta, alpha)[0].segments[0]
+        assert iv == PredictionInterval(lo, hi)
 
     def test_negbinom_zero_mean(self):
-        assert negbinom_interval(0.0, 1.5, 0.1) == PredictionInterval(0, 0)
+        assert negbinom_intervals([0.0], 1.5, 0.1)[0].segments[0] == PredictionInterval(0, 0)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(DataError):
-            poisson_interval(-1.0, 0.1)
+            poisson_intervals([-1.0], 0.1)
         with pytest.raises(DataError):
-            negbinom_interval(-1.0, 1.0, 0.1)
+            negbinom_intervals([-1.0], 1.0, 0.1)
 
     def test_nonpositive_dispersion_rejected(self):
         with pytest.raises(NumericalError):
-            negbinom_interval(4.0, 0.0, 0.1)
+            negbinom_intervals([4.0], 0.0, 0.1)
 
     def test_integer_endpoints_and_mass_at_least_nominal(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             mu = rng.uniform(0.1, 40)
             alpha = rng.uniform(0.02, 0.5)
-            iv = poisson_interval(mu, alpha)
+            iv = poisson_intervals([mu], alpha)[0].segments[0]
             assert iv.lower == int(iv.lower) and iv.upper == int(iv.upper)
             assert iv.lower >= 0
             mass = poisson.cdf(iv.upper, mu) - poisson.cdf(iv.lower - 1, mu)
             assert mass >= 1 - alpha - 1e-12
 
             theta = rng.uniform(0.2, 5)
-            iv = negbinom_interval(mu, theta, alpha)
+            iv = negbinom_intervals([mu], theta, alpha)[0].segments[0]
             p = theta / (theta + mu)
             mass = nbinom.cdf(iv.upper, theta, p) - nbinom.cdf(iv.lower - 1, theta, p)
             assert iv.lower >= 0
@@ -239,9 +240,9 @@ class TestQuantReg:
     def test_constant_outcome(self):
         X = np.random.default_rng(1).normal(size=(40, 2))
         model = quantreg_pair(X, np.full(40, 3.0), alpha=0.1)
-        iv = quantreg_interval(model, X[0])
-        assert iv.lower == pytest.approx(3.0, abs=1e-9)
-        assert iv.upper == pytest.approx(3.0, abs=1e-9)
+        lo, hi = sorted((model.lower.predict(X[0]), model.upper.predict(X[0])))
+        assert lo == pytest.approx(3.0, abs=1e-9)
+        assert hi == pytest.approx(3.0, abs=1e-9)
         assert model.lower.coefficients == pytest.approx([3.0, 0.0, 0.0], abs=1e-6)
 
     def test_median_fit_matches_brute_force_grid(self):
@@ -268,14 +269,22 @@ class TestQuantReg:
             fit = quantreg_fit(X, y, tau)
             assert fit.loss <= pinball_loss(y, tau) + 1e-12
 
-    def test_crossed_quantiles_swapped(self):
+    def test_crossed_quantiles_swapped(self, monkeypatch):
         lower = QuantRegFit(0.05, np.array([5.0]), 1, True, 0.0)
         upper = QuantRegFit(0.95, np.array([3.0]), 1, True, 0.0)
         model = QuantRegModel(lower=lower, upper=upper)
         x = np.empty((0,))
-        lo, hi = quantreg_bounds(model, x)
+        lo, hi = model.lower.predict(x), model.upper.predict(x)
         assert lo > hi
-        assert quantreg_interval(model, x) == PredictionInterval(3.0, 5.0)
+        # the pipeline swaps a crossed pair into one interval and flags it
+        monkeypatch.setattr(baselines, "quantreg_pair", lambda *a, **k: model)
+        design = (np.empty((3, 0)), np.ones(3), np.empty((1, 0)))
+        result = make_intervals(
+            "quantreg", np.ones(3), np.ones(3), np.ones(1), alpha=0.1,
+            quantreg_design=design,
+        )
+        assert result.sets[0].segments[0] == PredictionInterval(3.0, 5.0)
+        assert result.flags == [("crossed",)]
 
     def test_nonconvergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(2)

@@ -299,10 +299,10 @@ class TestEvaluateCommand:
             "--out", str(tmp_path / "r.csv"),
         ]) == 3
 
-    def evaluate(self, tmp_path, iv, truth):
+    def evaluate(self, tmp_path, iv, truth, *extra):
         return main([
             "evaluate", "--intervals", str(iv), "--truth", str(truth),
-            "--out", str(tmp_path / "r.csv"),
+            "--out", str(tmp_path / "r.csv"), *extra,
         ])
 
     def test_duplicate_truth_row_id_is_data_error(self, tmp_path, capsys):
@@ -310,6 +310,15 @@ class TestEvaluateCommand:
         truth = self.write_truth(tmp_path, [("a", 0.5), ("a", 2.0)])
         assert self.evaluate(tmp_path, iv, truth) == 3
         assert "duplicate row_id 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_truth_is_data_error(self, tmp_path, capsys, bad):
+        iv = self.write_intervals(tmp_path, [
+            ("a", 0, "0.0", "1.0", ""), ("b", 0, "0.0", "1.0", ""),
+        ])
+        truth = self.write_truth(tmp_path, [("a", 0.5), ("b", bad)])
+        assert self.evaluate(tmp_path, iv, truth, "--group", "none") == 3
+        assert "y_true must be finite" in capsys.readouterr().err
 
     def test_truth_row_without_interval_is_data_error(self, tmp_path, capsys):
         iv = self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")])

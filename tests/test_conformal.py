@@ -151,7 +151,7 @@ class TestCalibrate:
         # y_true=5 in bin 1 even though y_pred=15 is in bin 2
         cal = calibrate([5.0, 15.0], [15.0, 5.0], 0.5, partition=partition,
                         support_min=0.0)
-        assert list(cal.records.bin_indices) == [1, 2]
+        assert list(cal.bin_indices) == [1, 2]
 
 
 class TestBccpPerBin:
@@ -278,7 +278,7 @@ class TestGridInterval:
         cal = two_bin_calibration()  # q1 = 1
         step = 0.005
         grid = np.arange(0.0, 10.0, step)  # bin 1 only, right edge excluded
-        result = grid_interval(9.0, cal.records.scores_in_bin(1), grid, alpha=0.1)
+        result = grid_interval(9.0, cal.scores_in_bin(1), grid, alpha=0.1)
         piece = bccp_per_bin_interval(9.0, 1, cal)
         assert result.n_segments == 1
         assert abs(result.segments[0].lower - piece.lower) <= step + 1e-12

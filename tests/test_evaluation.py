@@ -11,7 +11,6 @@ from binconformal.evaluation import (
     StudyConfig,
     coverage,
     lognormal_study,
-    mean_width,
     quartile_labels,
     run_replications,
     zicount_study,
@@ -69,17 +68,17 @@ class TestCoverage:
 
 class TestMeanWidth:
     def test_degenerate_intervals(self):
-        table = mean_width(sets_of((3, 3), (5, 5)), [3.0, 5.0])
-        assert table[AGGREGATE] == (2, 0.0, 0)
+        t = coverage(sets_of((3, 3), (5, 5)), [3.0, 5.0])[AGGREGATE]
+        assert (t.n, t.mean_width, t.inf_width_count) == (2, 0.0, 0)
 
     def test_single_interval(self):
-        table = mean_width(sets_of((0, 10)), [5.0])
-        assert table[AGGREGATE] == (1, 10.0, 0)
+        t = coverage(sets_of((0, 10)), [5.0])[AGGREGATE]
+        assert (t.n, t.mean_width, t.inf_width_count) == (1, 10.0, 0)
 
     def test_infinite_width_excluded_and_counted(self):
         sets = sets_of((0, 10), (0, INF))
-        table = mean_width(sets, [1.0, 2.0])
-        assert table[AGGREGATE] == (2, 10.0, 1)
+        t = coverage(sets, [1.0, 2.0])[AGGREGATE]
+        assert (t.n, t.mean_width, t.inf_width_count) == (2, 10.0, 1)
 
 
 class TestQuartileLabels:

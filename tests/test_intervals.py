@@ -7,10 +7,8 @@ from binconformal.errors import ConfigurationError, DataError
 from binconformal.intervals import (
     IntervalSet,
     PredictionInterval,
-    assign_bin,
     bins_from_cutpoints,
     bins_from_percentiles,
-    hull,
     union,
 )
 
@@ -101,18 +99,18 @@ class TestUnion:
 class TestHull:
     def test_spanning(self):
         s = union([PredictionInterval(1, 2), PredictionInterval(4, 5)])
-        assert hull(s) == PredictionInterval(1, 5)
+        assert s.hull() == PredictionInterval(1, 5)
 
     def test_degenerate(self):
-        assert hull(union([PredictionInterval(3, 3)])) == PredictionInterval(3, 3)
+        assert union([PredictionInterval(3, 3)]).hull() == PredictionInterval(3, 3)
 
     def test_unbounded(self):
         s = union([PredictionInterval(0, 1), PredictionInterval(10, INF)])
-        assert hull(s) == PredictionInterval(0, INF)
+        assert s.hull() == PredictionInterval(0, INF)
 
     def test_empty_set_raises(self):
         with pytest.raises(DataError):
-            hull(IntervalSet())
+            IntervalSet().hull()
 
     def test_hull_contains_every_input(self):
         rng = np.random.default_rng(99)
@@ -121,7 +119,7 @@ class TestHull:
             for _ in range(rng.integers(1, 6)):
                 lo = rng.uniform(-5, 5)
                 ivs.append(PredictionInterval(lo, lo + rng.uniform(0, 3)))
-            h = hull(union(ivs))
+            h = union(ivs).hull()
             for iv in ivs:
                 assert h.lower <= iv.lower and iv.upper <= h.upper
 
@@ -177,9 +175,9 @@ class TestBinPartition:
 
     def test_assign_breakpoint_goes_right(self):
         p = bins_from_cutpoints([1, 3], support_min=-INF)
-        assert assign_bin(1.0, p) == 2
-        assert assign_bin(0.999, p) == 1
-        assert assign_bin(1e9, p) == 3
+        assert p.assign(1.0) == 2
+        assert p.assign(0.999) == 1
+        assert p.assign(1e9) == 3
 
     def test_assign_below_support_raises(self):
         p = bins_from_cutpoints([1, 3], support_min=0.0)
