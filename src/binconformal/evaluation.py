@@ -143,6 +143,12 @@ class MethodSpec:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
         if self.kind in BINNED_KINDS and not (self.n_bins or self.cutpoints):
             raise ConfigurationError(f"method {self.name} needs bins")
+        if self.kind not in BINNED_KINDS and (
+            self.n_bins is not None or self.cutpoints is not None
+        ):
+            raise ConfigurationError(
+                f"method {self.name}: bins only apply to the bccp-* methods"
+            )
 
 
 @dataclass(frozen=True)

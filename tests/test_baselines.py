@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from binconformal.pipelines import make_intervals
 
 IDENTITY = OutcomeTransform.IDENTITY
 LOG = OutcomeTransform.LOG
+LOG1P = OutcomeTransform.LOG1P
 
 
 class TestResidualPool:
@@ -103,6 +105,93 @@ class TestBootstrap:
     def test_too_few_draws_rejected(self):
         with pytest.raises(ConfigurationError):
             bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, n_draws=50)
+
+
+def one_shot_bootstrap(y_hats, pool, alpha, n_draws, rng, support_min):
+    """The whole-batch bootstrap: one (n, n_draws) draw, one quantile call."""
+    res = pool.residuals
+    y_hats = np.asarray(y_hats, dtype=float).ravel()
+    idx = np.random.default_rng(rng).integers(0, res.size, size=(y_hats.size, n_draws))
+    lo, hi = np.quantile(y_hats[:, None] - res[idx], [alpha / 2, 1 - alpha / 2], axis=1)
+    lo = np.maximum(support_min, pool.scale.inverse(lo))
+    hi = np.maximum(support_min, pool.scale.inverse(hi))
+    return lo, hi
+
+
+def assert_same_bytes(batch, lo, hi):
+    assert batch.lower.shape == (lo.size, 1)
+    assert batch.lower[:, 0].tobytes() == lo.tobytes()
+    assert batch.upper[:, 0].tobytes() == hi.tobytes()
+
+
+class TestBootstrapBlocks:
+    """The row-block kernel against the one-shot formula, byte for byte."""
+
+    @pytest.mark.parametrize("n_draws", [101, 2000, 2001])
+    @pytest.mark.parametrize("rows", [
+        pytest.param(lambda block: 0, id="0"),
+        pytest.param(lambda block: 1, id="1"),
+        pytest.param(lambda block: block - 1, id="block-1"),
+        pytest.param(lambda block: block, id="block"),
+        pytest.param(lambda block: block + 1, id="block+1"),
+        pytest.param(lambda block: 3 * block + 7, id="3*block+7"),
+    ])
+    def test_matches_one_shot(self, rows, n_draws):
+        n = rows(baselines._block_rows(n_draws))
+        data = np.random.default_rng(n_draws + n)
+        # signed zeros among the predictions: with a zero pool their sign
+        # must survive the subtraction and the quantile
+        y = data.normal(size=n)
+        y[::5] = 0.0
+        y[1::5] = -0.0
+        for size in (1, 5000):
+            residuals = np.zeros(1) if size == 1 else data.normal(size=size)
+            for scale in (IDENTITY, LOG, LOG1P):
+                pool = ResidualPool(residuals, scale)
+                for support_min in (0.5, -math.inf):
+                    got = bootstrap_intervals(y, pool, 0.1, n_draws, rng=n,
+                                              support_min=support_min)
+                    assert_same_bytes(
+                        got, *one_shot_bootstrap(y, pool, 0.1, n_draws, n, support_min)
+                    )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_does_not_change_output(self, monkeypatch, workers):
+        pool = ResidualPool(np.random.default_rng(8).normal(size=300), LOG1P)
+        y = np.random.default_rng(9).normal(size=3 * baselines._block_rows(2000) + 7)
+        default = bootstrap_intervals(y, pool, 0.1, rng=4, support_min=0.0)
+        monkeypatch.setattr(baselines, "_usable_cpus", lambda: workers)
+        pinned = bootstrap_intervals(y, pool, 0.1, rng=4, support_min=0.0)
+        assert_same_bytes(pinned, default.lower[:, 0], default.upper[:, 0])
+
+    def test_shared_generator_continues_the_same_stream(self):
+        pool = ResidualPool(np.random.default_rng(3).normal(size=50))
+        y = np.zeros(baselines._block_rows(2000) + 1)
+        rng = np.random.default_rng(12)
+        bootstrap_intervals(y, pool, 0.1, rng=rng)
+        oracle = np.random.default_rng(12)
+        oracle.integers(0, 50, size=(y.size, 2000))
+        assert rng.integers(0, 2**62) == oracle.integers(0, 2**62)
+
+    def test_two_dimensional_predictions_are_flattened(self):
+        pool = ResidualPool(np.random.default_rng(5).normal(size=40))
+        y = np.arange(6.0).reshape(2, 3)
+        got = bootstrap_intervals(y, pool, 0.1, rng=2)
+        assert_same_bytes(got, *one_shot_bootstrap(y.ravel(), pool, 0.1, 2000, 2, -math.inf))
+
+    def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        # two workers, as on the reference box; each further worker adds
+        # one block's temporaries (about 12 MB at 2,000 draws)
+        monkeypatch.setattr(baselines, "_usable_cpus", lambda: 2)
+        pool = ResidualPool(np.random.default_rng(6).normal(size=3000))
+        tracemalloc.start()
+        try:
+            bootstrap_intervals(np.zeros(10_000), pool, 0.1, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-batch draw peaks at about 458 MB here
+        assert peak < 64 * 2**20
 
 
 class TestLognormalInterval:

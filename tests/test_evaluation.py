@@ -17,7 +17,7 @@ from binconformal.evaluation import (
 )
 from binconformal.intervals import PredictionInterval, bins_from_cutpoints, union
 from binconformal.models import OutcomeTransform
-from binconformal.pipelines import make_intervals
+from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
 
 INF = math.inf
 
@@ -191,6 +191,19 @@ class TestMakeIntervals:
         # intervals are still well-formed even if crossing occurred
         for s in result.sets:
             assert s.segments[0].lower <= s.segments[0].upper
+
+
+class TestMethodSpec:
+    @pytest.mark.parametrize("kind", [k for k in METHOD_KINDS if k not in BINNED_KINDS])
+    @pytest.mark.parametrize("bins", [{"n_bins": 2}, {"cutpoints": (1.0,)}])
+    def test_bins_rejected_for_non_binned_kinds(self, kind, bins):
+        with pytest.raises(ConfigurationError, match="bins only apply"):
+            MethodSpec(kind, kind, **bins)
+
+    @pytest.mark.parametrize("kind", BINNED_KINDS)
+    def test_binned_kinds_require_bins(self, kind):
+        with pytest.raises(ConfigurationError, match="needs bins"):
+            MethodSpec(kind, kind)
 
 
 class TestRunReplications:
