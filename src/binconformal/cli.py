@@ -32,7 +32,7 @@ from .evaluation import (
     run_replications,
     zicount_study,
 )
-from .intervals import IntervalBatch, bins_from_cutpoints, bins_from_percentiles
+from .intervals import bins_from_cutpoints, bins_from_percentiles
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
 from .simulation import STREAM_METHOD, lognormal_dgp, split, zero_inflated_count_dgp
@@ -182,8 +182,8 @@ def cmd_intervals(args) -> int:
         )
     transform = OutcomeTransform(args.transform)
     _, y_true_cal, y_pred_cal = io.read_calibration_csv(args.calibration)
-    test_ids, y_pred_test, _ = io.read_test_csv(args.test)
-    bins = _resolve_cli_bins(args.bins, np.asarray(y_true_cal), transform)
+    test_ids, y_pred_test = io.read_test_csv(args.test)
+    bins = _resolve_cli_bins(args.bins, y_true_cal, transform)
     result = make_intervals(
         args.method,
         y_true_cal, y_pred_cal, y_pred_test,
@@ -209,7 +209,11 @@ def cmd_intervals(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    order, sets_by_id, _ = io.read_intervals_csv(args.intervals)
+    if args.group == "bins" and args.bins is None:
+        raise ConfigurationError("--group bins requires --bins")
+    if args.group != "bins" and args.bins is not None:
+        raise ConfigurationError("--bins only applies with --group bins")
+    order, intervals, _ = io.read_interval_batch(args.intervals)
     truth_ids, truth_values = io.read_truth_csv(args.truth)
     truth = dict(zip(truth_ids, truth_values.tolist()))
     missing = [rid for rid in order if rid not in truth]
@@ -219,21 +223,19 @@ def cmd_evaluate(args) -> int:
             f"record (first: {missing[0]!r})"
         )
     if len(truth) != len(order):
-        extra = next(rid for rid in truth if rid not in sets_by_id)
+        known = set(order)
+        extra = next(rid for rid in truth if rid not in known)
         raise DataError(
             f"row_id mismatch: {len(truth) - len(order)} truth rows have no "
             f"interval (first: {extra!r})"
         )
     y_true = np.array([truth[rid] for rid in order])
-    intervals = IntervalBatch.from_sets(sets_by_id[rid] for rid in order)
 
     if args.group == "none":
         grouping = None
     elif args.group == "quartiles":
         grouping = QUARTILES
     else:
-        if args.bins is None:
-            raise ConfigurationError("--group bins requires --bins")
         kind, value = _parse_bins_spec(args.bins)
         if kind == "percentiles":
             grouping = bins_from_percentiles(y_true, value)

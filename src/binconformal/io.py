@@ -10,12 +10,14 @@ readers skip comment lines.
 
 import csv
 import json
+from itertools import compress
+from operator import itemgetter, ne
 
 import numpy as np
 
 from .conformal import require_finite
 from .errors import DataError
-from .intervals import IntervalSet, PredictionInterval, as_batch
+from .intervals import IntervalBatch, as_batch
 
 DATASET_HEADER = ("row_id", "x1", "x2", "y", "split")
 CALIBRATION_HEADER = ("row_id", "y_true", "y_pred")
@@ -55,28 +57,63 @@ def _write_rows(path, header, rows, config=None):
         writer.writerows(rows)
 
 
-def _read_rows(path, expected_header, optional=()):
-    """Rows as dicts keyed by header; enforces the mandatory columns."""
+def _read_table(path, columns):
+    """(column index by name, data records) of a CSV file.
+
+    Blank lines and lines whose first field starts with '#' are skipped;
+    the first remaining record is the header. A name that appears twice
+    indexes its last occurrence. Every record must have a field for each
+    of ``columns``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        rows = []
-        for record in reader:
-            if not record or record[0].startswith("#"):
-                continue
-            if header is None:
-                header = [h.strip() for h in record]
-                missing = [c for c in expected_header if c not in header]
-                if missing:
-                    raise DataError(
-                        f"{path}: missing required columns {missing}; "
-                        f"found {header}"
-                    )
-                continue
-            rows.append(dict(zip(header, record)))
-    if header is None:
-        raise DataError(f"{path}: empty file, expected header {list(expected_header)}")
-    return rows
+        records = [r for r in csv.reader(fh) if r and r[0][:1] != "#"]
+    if not records:
+        raise DataError(f"{path}: empty file, expected header {list(columns)}")
+    header = [h.strip() for h in records[0]]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(
+            f"{path}: missing required columns {missing}; found {header}"
+        )
+    index = {name: i for i, name in enumerate(header)}
+    body = records[1:]
+    width = 1 + max(index[c] for c in columns)
+    if body and min(map(len, body)) < width:
+        number, record = next(
+            (n, r) for n, r in enumerate(body, 1) if len(r) < width
+        )
+        name = next(c for c in columns if index[c] >= len(record))
+        raise DataError(
+            f"{path}: record {number} has {len(record)} fields, "
+            f"no value for column {name!r}"
+        )
+    return index, body
+
+
+def _column(index, records, name) -> list:
+    return list(map(itemgetter(index[name]), records))
+
+
+def _parse_column(tokens, context) -> np.ndarray:
+    """Number tokens as a float array; a bad token raises the
+    :func:`parse_real` error for the first one."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for token in tokens:
+            parse_real(token, context)
+        raise
+
+
+def _first_repeat(ids):
+    """The first id equal to an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for rid in ids:
+        if rid in seen:
+            return rid
+        seen.add(rid)
 
 
 def write_dataset_csv(path, dataset, config=None):
@@ -95,46 +132,43 @@ def write_dataset_csv(path, dataset, config=None):
 
 def read_calibration_csv(path):
     """(row_ids, y_true, y_pred) from a calibration file."""
-    rows = _read_rows(path, CALIBRATION_HEADER)
-    if not rows:
+    index, records = _read_table(path, CALIBRATION_HEADER)
+    if not records:
         raise DataError(f"{path}: no calibration records")
-    ids = [r["row_id"] for r in rows]
-    y_true = [parse_real(r["y_true"], "y_true") for r in rows]
-    y_pred = [parse_real(r["y_pred"], "y_pred") for r in rows]
+    ids = _column(index, records, "row_id")
+    y_true = _parse_column(_column(index, records, "y_true"), "y_true")
+    y_pred = _parse_column(_column(index, records, "y_pred"), "y_pred")
     return ids, y_true, y_pred
 
 
-def _unique_ids(path, rows):
-    ids = [r["row_id"] for r in rows]
-    seen = set()
-    for rid in ids:
-        if rid in seen:
-            raise DataError(f"{path}: duplicate row_id {rid!r}")
-        seen.add(rid)
+def _unique_ids(path, index, records):
+    ids = _column(index, records, "row_id")
+    rid = _first_repeat(ids)
+    if rid is not None:
+        raise DataError(f"{path}: duplicate row_id {rid!r}")
     return ids
 
 
 def read_test_csv(path):
-    """(row_ids, y_pred, y_true_or_None) from a test file; row ids are unique."""
-    rows = _read_rows(path, TEST_HEADER)
-    if not rows:
+    """(row_ids, y_pred) from a test file; row ids are unique. Other
+    columns, such as ``y_true``, are not read."""
+    index, records = _read_table(path, TEST_HEADER)
+    if not records:
         raise DataError(f"{path}: no test records")
-    ids = _unique_ids(path, rows)
-    y_pred = [parse_real(r["y_pred"], "y_pred") for r in rows]
-    has_truth = all("y_true" in r and r["y_true"] != "" for r in rows)
-    y_true = [parse_real(r["y_true"], "y_true") for r in rows] if has_truth else None
-    return ids, y_pred, y_true
+    ids = _unique_ids(path, index, records)
+    return ids, _parse_column(_column(index, records, "y_pred"), "y_pred")
 
 
 def read_truth_csv(path):
     """(row_ids, y_true) from a file carrying row_id and y_true columns;
     row ids are unique and every y_true is finite."""
-    rows = _read_rows(path, TRUTH_HEADER)
-    if not rows:
+    index, records = _read_table(path, TRUTH_HEADER)
+    if not records:
         raise DataError(f"{path}: no truth records")
-    ids = _unique_ids(path, rows)
+    ids = _unique_ids(path, index, records)
     y_true = require_finite(
-        [parse_real(r["y_true"], "y_true") for r in rows], f"{path}: y_true"
+        _parse_column(_column(index, records, "y_true"), "y_true"),
+        f"{path}: y_true",
     )
     return ids, y_true
 
@@ -164,41 +198,57 @@ def write_intervals_csv(path, row_ids, interval_sets, flags=None, config=None):
     _write_rows(path, INTERVAL_HEADER, rows, config)
 
 
-def read_intervals_csv(path):
-    """(ordered row_ids, {row_id: IntervalSet}, {row_id: flags tuple}).
+def read_interval_batch(path):
+    """(ordered row_ids, IntervalBatch, flags tuple per row) from an
+    interval file.
 
     A row id's segment lines must be consecutive, and each segment must
-    have non-NaN endpoints with lower <= upper.
+    have non-NaN endpoints with lower <= upper. A row's segments are sorted
+    and merged as :class:`IntervalSet` does; its flags are those of its
+    first line.
     """
-    rows = _read_rows(path, INTERVAL_HEADER)
-    if not rows:
+    index, records = _read_table(path, INTERVAL_HEADER)
+    if not records:
         raise DataError(f"{path}: no interval records")
-    order = []
-    segments: dict = {}
-    flags: dict = {}
-    previous = None
-    for r in rows:
-        rid = r["row_id"]
-        if rid != previous:
-            if rid in segments:
-                raise DataError(
-                    f"{path}: segments of row_id {rid!r} are not on consecutive lines"
-                )
-            order.append(rid)
-            segments[rid] = []
-            flags[rid] = tuple(t for t in r["flags"].split(";") if t)
-            previous = rid
-        lower = parse_real(r["lower"], "lower")
-        upper = parse_real(r["upper"], "upper")
-        if not lower <= upper:
-            raise DataError(
-                f"{path}: row_id {rid!r} has an invalid segment "
-                f"[{lower!r}, {upper!r}]: endpoints must be numbers with "
-                f"lower <= upper"
-            )
-        segments[rid].append(PredictionInterval(lower, upper))
-    sets = {rid: IntervalSet(tuple(segs)) for rid, segs in segments.items()}
-    return order, sets, flags
+    line_ids = _column(index, records, "row_id")
+    n = len(line_ids)
+    # a row's first line is where the row id changes
+    heads = [0, *compress(range(1, n), map(ne, line_ids[1:], line_ids))]
+    row_ids = [line_ids[h] for h in heads]
+    rid = _first_repeat(row_ids)
+    if rid is not None:
+        raise DataError(
+            f"{path}: segments of row_id {rid!r} are not on consecutive lines"
+        )
+    lower = _parse_column(_column(index, records, "lower"), "lower")
+    upper = _parse_column(_column(index, records, "upper"), "upper")
+    invalid = ~(lower <= upper)
+    if invalid.any():
+        i = int(invalid.argmax())
+        raise DataError(
+            f"{path}: row_id {line_ids[i]!r} has an invalid segment "
+            f"[{lower[i].item()!r}, {upper[i].item()!r}]: endpoints must be "
+            f"numbers with lower <= upper"
+        )
+    starts = np.array(heads)
+    row = np.repeat(np.arange(len(heads)), np.diff(starts, append=n))
+    # rows stay in file order; within a row, IntervalSet's (lower, upper) order
+    order = np.lexsort((upper, lower, row))
+    slot = np.arange(n) - starts[row]
+    shape = (len(heads), int(slot.max()) + 1)
+    lo, hi = np.full(shape, np.nan), np.full(shape, np.nan)
+    lo[row, slot] = lower[order]
+    hi[row, slot] = upper[order]
+    text = [records[h][index["flags"]] for h in heads]
+    parsed = {t: tuple(f for f in t.split(";") if f) for t in set(text)}
+    return row_ids, IntervalBatch.from_slots(lo, hi), [parsed[t] for t in text]
+
+
+def read_intervals_csv(path):
+    """(ordered row_ids, {row_id: IntervalSet}, {row_id: flags tuple}):
+    :func:`read_interval_batch` keyed by row id."""
+    row_ids, batch, flags = read_interval_batch(path)
+    return row_ids, dict(zip(row_ids, batch)), dict(zip(row_ids, flags))
 
 
 def write_report_csv(path, report, config=None):

@@ -186,6 +186,36 @@ class TestIntervalsCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("which, text, message", [
+        ("calibration", "row_id,y_true,y_pred\n0,1.0,1.5\n1,2.0,2.5\n2,2.0\n",
+         "record 3 has 2 fields, no value for column 'y_pred'"),
+        ("test", "row_id,y_pred\na,9.5\nb\n",
+         "record 2 has 1 fields, no value for column 'y_pred'"),
+    ])
+    def test_short_record_is_data_error(self, two_bin_files, tmp_path, capsys,
+                                        which, text, message):
+        files = dict(zip(("calibration", "test"), two_bin_files))
+        files[which] = tmp_path / f"short-{which}.csv"
+        files[which].write_text(text)
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(files["calibration"]),
+            "--test", str(files["test"]), "--out", str(tmp_path / "iv.csv"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"short-{which}.csv: {message}" in err
+
+    def test_short_optional_truth_column_is_not_read(self, two_bin_files, tmp_path):
+        cal, _ = two_bin_files
+        test = tmp_path / "test.csv"
+        test.write_text("row_id,y_pred,y_true\na,9.5,9.0\nb,2.0\n")
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+        ]) == 0
+        _, rows = read_table(out)
+        assert [r["row_id"] for r in rows] == ["a", "b"]
+
     def test_empty_bin_is_data_error_without_flag(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
         code = main([
@@ -353,6 +383,30 @@ class TestEvaluateCommand:
             "evaluate", "--intervals", str(iv), "--truth", str(truth),
             "--out", str(tmp_path / "r.csv"),
         ]) == 3
+
+    @pytest.mark.parametrize("which, line, message", [
+        ("intervals", "b,0,1.0",
+         "iv.csv: record 2 has 3 fields, no value for column 'upper'"),
+        ("truth", "b", "truth.csv: record 2 has 1 fields, no value for column 'y_true'"),
+    ])
+    def test_short_record_is_data_error(self, tmp_path, capsys, which, line, message):
+        files = {
+            "intervals": self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")]),
+            "truth": self.write_truth(tmp_path, [("a", 0.5)]),
+        }
+        with open(files[which], "a") as fh:
+            fh.write(line + "\n")
+        assert self.evaluate(tmp_path, files["intervals"], files["truth"]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", ["none", "quartiles"])
+    def test_bins_without_group_bins_is_config_error(self, tmp_path, capsys, group):
+        iv = self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")])
+        truth = self.write_truth(tmp_path, [("a", 0.5)])
+        out = tmp_path / "r.csv"
+        assert self.evaluate(tmp_path, iv, truth, "--group", group, "--bins", "1,2") == 2
+        assert "--bins only applies with --group bins" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_group_bins(self, tmp_path):
         iv = self.write_intervals(tmp_path, [
