@@ -18,7 +18,6 @@ from .conformal import (
     bccp_discontiguous,
     bccp_per_bin_interval,
     calibrate,
-    conformal_pvalue,
     finite_sample_quantile,
     grid_interval,
     scp_interval,
@@ -45,6 +44,7 @@ from .intervals import (
     PredictionInterval,
     bins_from_cutpoints,
     bins_from_percentiles,
+    bins_from_spec,
     union,
 )
 from .models import (

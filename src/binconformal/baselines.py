@@ -50,7 +50,12 @@ def residual_pool(
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    try:
+        return np.random.default_rng(rng)
+    except ValueError:
+        raise ConfigurationError(
+            f"seeds must be non-negative integers, got {rng!r}"
+        ) from None
 
 
 # bytes of one block's draw matrix: about 4 MB, 262 rows at 2,000 draws

@@ -24,18 +24,11 @@ from .errors import (
     DataError,
     NumericalError,
 )
-from .evaluation import (
-    AGGREGATE,
-    QUARTILES,
-    coverage,
-    lognormal_study,
-    run_replications,
-    zicount_study,
-)
-from .intervals import bins_from_cutpoints, bins_from_percentiles
+from .evaluation import AGGREGATE, QUARTILES, STUDIES, coverage, run_replications
+from .intervals import bins_from_spec
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
-from .simulation import STREAM_METHOD, lognormal_dgp, split, zero_inflated_count_dgp
+from .simulation import STREAM_METHOD, generate, split
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,21 +48,6 @@ def _parse_proportions(text: str) -> tuple:
         raise ConfigurationError(f"cannot parse proportions {text!r}") from None
 
 
-def _parse_bins_spec(text: str):
-    """'percentiles:k' or comma-separated cutpoints."""
-    if text.startswith("percentiles:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigurationError(f"cannot parse bin spec {text!r}") from None
-        return ("percentiles", k)
-    try:
-        cutpoints = tuple(float(c) for c in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"cannot parse bin spec {text!r}") from None
-    return ("cutpoints", cutpoints)
-
-
 def _parse_alpha(value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ConfigurationError(f"--alpha must be strictly inside (0, 1), got {value}")
@@ -85,12 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset CSV")
-    p_sim.add_argument("--dgp", choices=("lognormal", "zicount"), required=True)
+    p_sim.add_argument("--dgp", choices=tuple(STUDIES), required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--zero-prob", type=float, default=0.867)
     p_sim.add_argument("--proportions", default=None,
-                       help="train,calibration,test fractions (default per DGP)")
+                       help="train,calibration,test fractions "
+                            "(default: the study preset's)")
     p_sim.add_argument("--out", required=True)
 
     p_int = sub.add_parser("intervals", help="build prediction intervals from CSVs")
@@ -129,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="method label for the report rows")
 
     p_rep = sub.add_parser("report", help="run a replicated study end to end")
-    p_rep.add_argument("--study", choices=("lognormal", "zicount"), required=True)
+    p_rep.add_argument("--study", choices=tuple(STUDIES), required=True)
     p_rep.add_argument("--replications", type=int, default=None)
     p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--n", type=int, default=None)
@@ -143,35 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise ConfigurationError(f"--n must be positive, got {args.n}")
-    if args.dgp == "lognormal":
-        dataset = lognormal_dgp(args.n, seed=args.seed)
-        proportions = (0.5, 0.25, 0.25)
+    if args.proportions is None:
+        proportions = STUDIES[args.dgp]().proportions
     else:
-        dataset = zero_inflated_count_dgp(
-            args.n, zero_prob=args.zero_prob, seed=args.seed
-        )
-        proportions = (0.7, 0.2, 0.1)
-    if args.proportions is not None:
         proportions = _parse_proportions(args.proportions)
-    dataset = split(dataset, proportions, seed=args.seed)
+    dataset = split(
+        generate(args.dgp, args.n, args.seed, args.zero_prob),
+        proportions, seed=args.seed,
+    )
     config = {
         "command": "simulate", "dgp": args.dgp, "n": args.n, "seed": args.seed,
         "zero_prob": args.zero_prob, "proportions": list(proportions),
     }
     io.write_dataset_csv(args.out, dataset, config)
     return EXIT_OK
-
-
-def _resolve_cli_bins(spec_text, y_true_cal, transform):
-    if spec_text is None:
-        return None
-    kind, value = _parse_bins_spec(spec_text)
-    support_min = transform.support_min
-    if kind == "percentiles":
-        return bins_from_percentiles(y_true_cal, value, support_min=support_min)
-    return bins_from_cutpoints(value, support_min)
 
 
 def cmd_intervals(args) -> int:
@@ -183,7 +147,9 @@ def cmd_intervals(args) -> int:
     transform = OutcomeTransform(args.transform)
     _, y_true_cal, y_pred_cal = io.read_calibration_csv(args.calibration)
     test_ids, y_pred_test = io.read_test_csv(args.test)
-    bins = _resolve_cli_bins(args.bins, y_true_cal, transform)
+    bins = None if args.bins is None else bins_from_spec(
+        args.bins, y_true_cal, transform.support_min
+    )
     result = make_intervals(
         args.method,
         y_true_cal, y_pred_cal, y_pred_test,
@@ -231,16 +197,10 @@ def cmd_evaluate(args) -> int:
         )
     y_true = np.array([truth[rid] for rid in order])
 
-    if args.group == "none":
-        grouping = None
-    elif args.group == "quartiles":
-        grouping = QUARTILES
+    if args.group == "bins":
+        grouping = bins_from_spec(args.bins, y_true, -math.inf)
     else:
-        kind, value = _parse_bins_spec(args.bins)
-        if kind == "percentiles":
-            grouping = bins_from_percentiles(y_true, value)
-        else:
-            grouping = bins_from_cutpoints(value, -math.inf)
+        grouping = QUARTILES if args.group == "quartiles" else None
 
     tallies = coverage(intervals, y_true, grouping)
     rows = []
@@ -265,23 +225,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    overrides = {}
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.n is not None:
-        overrides["n"] = args.n
+    if args.zero_prob is not None and args.study != "zicount":
+        raise ConfigurationError("--zero-prob only applies to the zicount study")
     if args.alpha is not None:
-        overrides["alpha"] = _parse_alpha(args.alpha)
-    if args.study == "lognormal":
-        if args.zero_prob is not None:
-            raise ConfigurationError("--zero-prob only applies to the zicount study")
-        config = lognormal_study(**overrides)
-    else:
-        if args.zero_prob is not None:
-            overrides["zero_prob"] = args.zero_prob
-        config = zicount_study(**overrides)
+        _parse_alpha(args.alpha)
+    overrides = {
+        "replications": args.replications, "base_seed": args.seed, "n": args.n,
+        "alpha": args.alpha, "zero_prob": args.zero_prob,
+    }
+    config = STUDIES[args.study](
+        **{key: value for key, value in overrides.items() if value is not None}
+    )
     if args.methods is not None:
         keep = [name.strip() for name in args.methods.split(",")]
         available = {m.name for m in config.methods}

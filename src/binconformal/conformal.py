@@ -86,23 +86,13 @@ def finite_sample_quantile(scores, alpha: float) -> float:
     return float(np.partition(arr, rank - 1)[rank - 1])
 
 
-def conformal_pvalue(candidate_score: float, scores) -> float:
-    """Proportion of calibration scores at least as large as the candidate,
-    with the +1 correction: (1 + #{s >= c}) / (n + 1)."""
-    arr = np.asarray(scores, dtype=float).ravel()
-    if arr.size == 0:
-        raise DataError("empty calibration: no nonconformity scores")
-    return (1 + int(np.count_nonzero(arr >= candidate_score))) / (arr.size + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class ConformalCalibration:
     """Calibration scores with precomputed global and per-bin quantiles.
 
     ``scores`` are the absolute errors ``|y_true - y_pred|``. With a
     partition, ``bin_indices`` follow the observed outcome ``y_true``,
-    never the prediction. ``y_true`` is None for a calibration built
-    from scores only.
+    never the prediction.
     """
 
     scores: np.ndarray
@@ -112,7 +102,6 @@ class ConformalCalibration:
     bin_quantiles: dict | None  # 1-based bin index -> per-bin quantile
     partition: BinPartition | None = None
     bin_indices: np.ndarray | None = None
-    y_true: np.ndarray | None = None
 
     def scores_in_bin(self, index: int) -> np.ndarray:
         _require_bins(self)
@@ -180,7 +169,6 @@ def calibrate(
         bin_quantiles=bin_quantiles,
         partition=partition,
         bin_indices=bin_indices,
-        y_true=yt,
     )
 
 
@@ -340,25 +328,3 @@ def grid_interval(
         segments.append(PredictionInterval(grid[start], grid[-1]))
     return IntervalSet(tuple(segments))
 
-
-def default_grid(calibration: ConformalCalibration, resolution: int = 4001) -> np.ndarray:
-    """Equally spaced hypothetical outcomes spanning the calibration range.
-
-    Runs from the support minimum (or min calibration outcome minus three
-    max scores when the support is unbounded below) to the max calibration
-    outcome plus three max scores.
-    """
-    if resolution < 2:
-        raise ConfigurationError("grid resolution must be at least 2")
-    y = calibration.y_true
-    if y is None:
-        raise ConfigurationError(
-            "default grid needs calibration outcomes; this calibration was "
-            "built from scores only"
-        )
-    pad = 3.0 * float(np.max(calibration.scores))
-    lo = calibration.support_min
-    if not math.isfinite(lo):
-        lo = float(np.min(y)) - pad
-    hi = float(np.max(y)) + pad
-    return np.linspace(lo, hi, int(resolution))

@@ -9,28 +9,20 @@ replicates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BinConformalError, ConfigurationError, DataError
 from .intervals import (
     BinPartition,
-    as_batch,
+    IntervalBatch,
     bins_from_cutpoints,
     bins_from_percentiles,
 )
 from .models import OutcomeTransform, ols_fit, predict
 from .pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
-from .simulation import (
-    CALIBRATION,
-    STREAM_METHOD,
-    TEST,
-    TRAIN,
-    lognormal_dgp,
-    split,
-    zero_inflated_count_dgp,
-)
+from .simulation import CALIBRATION, STREAM_METHOD, TEST, TRAIN, generate, split
 
 AGGREGATE = "aggregate"
 QUARTILES = "quartiles"
@@ -40,12 +32,6 @@ INF = math.inf
 
 # ---------------------------------------------------------------------------
 # grouping and per-run metrics
-
-
-def quartile_labels(y) -> tuple:
-    """Labels Q1..Q4 by the empirical quartiles of this sample of y."""
-    codes, names = _group_codes(np.asarray(y, dtype=float).ravel(), QUARTILES)
-    return tuple(names[c - 1] for c in codes.tolist()), names
 
 
 def _group_codes(y: np.ndarray, grouping) -> tuple:
@@ -88,25 +74,24 @@ class GroupTally:
         return self.multi_segment_count / self.n if self.n else math.nan
 
 
-def coverage(interval_sets, y_true, grouping=None) -> dict:
+def coverage(interval_sets: IntervalBatch, y_true, grouping=None) -> dict:
     """Group-wise tallies of contains(interval_i, y_i).
 
-    ``interval_sets`` is an IntervalBatch or a sequence of IntervalSets
-    (converted once). ``grouping`` is None (aggregate only), the string
-    "quartiles", or a BinPartition applied to the true outcomes. The
-    aggregate tally is the exact sum of the group tallies.
+    ``grouping`` is None (aggregate only), the string "quartiles", or a
+    BinPartition applied to the true outcomes. The aggregate tally is the
+    exact sum of the group tallies.
     """
     y = np.asarray(y_true, dtype=float).ravel()
-    batch = as_batch(interval_sets)
-    if len(batch) != y.size:
+    if len(interval_sets) != y.size:
         raise DataError(
-            f"interval count ({len(batch)}) does not match outcome count ({y.size})"
+            f"interval count ({len(interval_sets)}) does not match outcome "
+            f"count ({y.size})"
         )
     codes, names = _group_codes(y, grouping)
-    covered = batch.contains(y)
-    widths = batch.total_width()
+    covered = interval_sets.contains(y)
+    widths = interval_sets.total_width()
     infinite = np.isinf(widths)
-    multi = batch.n_segments > 1
+    multi = interval_sets.n_segments > 1
 
     tallies = {}
     for code, group in enumerate((AGGREGATE, *names)):
@@ -143,6 +128,10 @@ class MethodSpec:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
         if self.kind in BINNED_KINDS and not (self.n_bins or self.cutpoints):
             raise ConfigurationError(f"method {self.name} needs bins")
+        if self.n_bins is not None and self.cutpoints is not None:
+            raise ConfigurationError(
+                f"method {self.name}: set n_bins or cutpoints, not both"
+            )
         if self.kind not in BINNED_KINDS and (
             self.n_bins is not None or self.cutpoints is not None
         ):
@@ -168,32 +157,10 @@ class StudyConfig:
     zero_prob: float = 0.867
 
     def as_dict(self) -> dict:
-        return {
-            "dgp": self.dgp,
-            "n": self.n,
-            "proportions": list(self.proportions),
-            "alpha": self.alpha,
-            "methods": [
-                {
-                    "name": m.name, "kind": m.kind,
-                    "transform": m.transform.value,
-                    "n_bins": m.n_bins,
-                    "cutpoints": list(m.cutpoints) if m.cutpoints else None,
-                }
-                for m in self.methods
-            ],
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "model_transform": self.model_transform.value,
-            "grouping": (
-                self.grouping if isinstance(self.grouping, str)
-                else list(self.grouping)
-            ),
-            "support_min": self.support_min,
-            "round_counts": self.round_counts,
-            "bootstrap_draws": self.bootstrap_draws,
-            "zero_prob": self.zero_prob,
-        }
+        """Every field as JSON-ready values, transforms by name."""
+        return asdict(self, dict_factory=lambda items: {
+            k: v.value if isinstance(v, OutcomeTransform) else v for k, v in items
+        })
 
 
 @dataclass(frozen=True)
@@ -231,17 +198,6 @@ def _mean_se(values) -> tuple:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _generate(config: StudyConfig, rep: int):
-    seed = (config.base_seed, rep)
-    if config.dgp == "lognormal":
-        ds = lognormal_dgp(config.n, seed=seed)
-    elif config.dgp == "zicount":
-        ds = zero_inflated_count_dgp(config.n, zero_prob=config.zero_prob, seed=seed)
-    else:
-        raise ConfigurationError(f"unknown data generator {config.dgp!r}")
-    return split(ds, config.proportions, seed=seed)
-
-
 def _resolve_bins(spec: MethodSpec, y_cal, support_min) -> BinPartition | None:
     if spec.cutpoints is not None:
         return bins_from_cutpoints(spec.cutpoints, support_min)
@@ -251,7 +207,11 @@ def _resolve_bins(spec: MethodSpec, y_cal, support_min) -> BinPartition | None:
 
 
 def _run_replicate(config: StudyConfig, rep: int) -> dict:
-    ds = _generate(config, rep)
+    seed = (config.base_seed, rep)
+    ds = split(
+        generate(config.dgp, config.n, seed, config.zero_prob),
+        config.proportions, seed=seed,
+    )
     X_train, y_train = ds.rows(TRAIN)
     X_cal, y_cal = ds.rows(CALIBRATION)
     X_test, y_test = ds.rows(TEST)
@@ -274,7 +234,7 @@ def _run_replicate(config: StudyConfig, rep: int) -> dict:
             bins=bins,
             round_counts=config.round_counts,
             n_draws=config.bootstrap_draws,
-            rng=((config.base_seed, rep), STREAM_METHOD, index),
+            rng=(seed, STREAM_METHOD, index),
             support_min=config.support_min,
             quantreg_design=(
                 (X_train, y_train, X_test) if spec.kind == "quantreg" else None
@@ -296,8 +256,7 @@ def run_replications(config: StudyConfig) -> CoverageReport:
     if len(set(names)) != len(names):
         raise ConfigurationError("method names must be unique")
 
-    per_cell: dict = {}
-    groups_seen: list = []
+    cells: dict = {}               # (method, group) -> tally per replicate
     for rep in range(config.replications):
         try:
             tallies_by_method = _run_replicate(config, rep)
@@ -305,37 +264,27 @@ def run_replications(config: StudyConfig) -> CoverageReport:
             raise type(exc)(f"replicate {rep}: {exc}") from exc
         for name, tallies in tallies_by_method.items():
             for group, tally in tallies.items():
-                if group not in groups_seen:
-                    groups_seen.append(group)
-                cell = per_cell.setdefault(
-                    (name, group),
-                    {"n": 0, "coverage": [], "width": [], "inf": 0, "multi": []},
-                )
-                cell["n"] += tally.n
-                cell["inf"] += tally.inf_width_count
-                if tally.n > 0:
-                    cell["coverage"].append(tally.coverage)
-                    cell["multi"].append(tally.discontiguity_rate)
-                if tally.finite_width_count > 0:
-                    cell["width"].append(tally.mean_width)
+                cells.setdefault((name, group), []).append(tally)
 
+    groups = {group for _, group in cells} - {AGGREGATE}
+    ordered_groups = (AGGREGATE, *sorted(groups, key=lambda g: (len(g), g)))
     stats = {}
-    ordered_groups = tuple(
-        [AGGREGATE]
-        + sorted((g for g in groups_seen if g != AGGREGATE), key=lambda g: (len(g), g))
-    )
     for name in names:
         for group in ordered_groups:
-            cell = per_cell.get((name, group))
-            if cell is None:
+            tallies = cells.get((name, group))
+            if tallies is None:
                 continue
-            cov, cov_se = _mean_se(cell["coverage"])
-            width, width_se = _mean_se(cell["width"])
-            multi, _ = _mean_se(cell["multi"])
+            seen = [t for t in tallies if t.n > 0]
+            cov, cov_se = _mean_se([t.coverage for t in seen])
+            width, width_se = _mean_se(
+                [t.mean_width for t in tallies if t.finite_width_count > 0]
+            )
+            multi, _ = _mean_se([t.discontiguity_rate for t in seen])
             stats[(name, group)] = GroupStats(
-                n=cell["n"], coverage=cov, coverage_se=cov_se,
+                n=sum(t.n for t in tallies), coverage=cov, coverage_se=cov_se,
                 mean_width=width, width_se=width_se,
-                inf_width_count=cell["inf"], discontiguity_rate=multi,
+                inf_width_count=sum(t.inf_width_count for t in tallies),
+                discontiguity_rate=multi,
             )
     return CoverageReport(
         methods=tuple(names),
@@ -447,3 +396,7 @@ def zicount_study(
         round_counts=False,
         zero_prob=zero_prob,
     )
+
+
+# study presets by the name of their data generator
+STUDIES = {"lognormal": lognormal_study, "zicount": zicount_study}

@@ -53,14 +53,6 @@ class PredictionInterval:
         """Closed-interval membership: endpoints count as covered."""
         return self.lower <= y <= self.upper
 
-    def intersect(self, other: "PredictionInterval") -> "PredictionInterval | None":
-        """Intersection with another closed interval, or None if disjoint."""
-        lo = max(self.lower, other.lower)
-        hi = min(self.upper, other.upper)
-        if lo > hi:
-            return None
-        return PredictionInterval(lo, hi)
-
 
 def _merged_segments(
     intervals: Iterable[PredictionInterval],
@@ -245,13 +237,6 @@ class IntervalBatch:
         return total
 
 
-def as_batch(interval_sets) -> IntervalBatch:
-    """The batch itself, or a sequence of interval sets converted once."""
-    if isinstance(interval_sets, IntervalBatch):
-        return interval_sets
-    return IntervalBatch.from_sets(interval_sets)
-
-
 @dataclass(frozen=True)
 class BinPartition:
     """Contiguous outcome bins defined by ordered breakpoints.
@@ -388,3 +373,23 @@ def bins_from_percentiles(
             stacklevel=2,
         )
     return BinPartition(tuple(float(b) for b in kept), float(support_min))
+
+
+def bins_from_spec(spec: str, y_values, support_min: float) -> BinPartition:
+    """Partition from a text spec, as the command line takes it.
+
+    ``percentiles:k`` cuts at the empirical quantiles of ``y_values`` (see
+    :func:`bins_from_percentiles`); anything else is read as
+    comma-separated cutpoints (see :func:`bins_from_cutpoints`).
+    """
+    percentiles = spec.startswith("percentiles:")
+    try:
+        if percentiles:
+            k = int(spec.split(":", 1)[1])
+        else:
+            cutpoints = tuple(float(c) for c in spec.split(","))
+    except ValueError:
+        raise ConfigurationError(f"cannot parse bin spec {spec!r}") from None
+    if percentiles:
+        return bins_from_percentiles(y_values, k, support_min=support_min)
+    return bins_from_cutpoints(cutpoints, support_min)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import require_finite
 from .errors import DataError
-from .intervals import IntervalBatch, as_batch
+from .intervals import IntervalBatch
 
 DATASET_HEADER = ("row_id", "x1", "x2", "y", "split")
 CALIBRATION_HEADER = ("row_id", "y_true", "y_pred")
@@ -173,26 +173,26 @@ def read_truth_csv(path):
     return ids, y_true
 
 
-def write_intervals_csv(path, row_ids, interval_sets, flags=None, config=None):
-    """One line per segment; ``interval_sets`` is an IntervalBatch or a
-    sequence of IntervalSets, one per row id."""
-    batch = as_batch(interval_sets)
+def write_intervals_csv(
+    path, row_ids, interval_sets: IntervalBatch, flags=None, config=None
+):
+    """One line per segment; ``interval_sets`` holds one row per row id."""
     row_ids = list(row_ids)
-    if len(row_ids) != len(batch):
+    if len(row_ids) != len(interval_sets):
         raise DataError(
-            f"{len(row_ids)} row ids for {len(batch)} interval sets"
+            f"{len(row_ids)} row ids for {len(interval_sets)} interval sets"
         )
     if flags is None:
         flag_text = [""] * len(row_ids)
     else:
         flag_text = [";".join(f) for f in flags]
-    used = ~np.isnan(batch.lower)
+    used = ~np.isnan(interval_sets.lower)
     row_of = np.nonzero(used)[0].tolist()
     rows = zip(
         [row_ids[i] for i in row_of],
         (np.cumsum(used, axis=1) - 1)[used].tolist(),
-        map(repr, batch.lower[used].tolist()),
-        map(repr, batch.upper[used].tolist()),
+        map(repr, interval_sets.lower[used].tolist()),
+        map(repr, interval_sets.upper[used].tolist()),
         [flag_text[i] for i in row_of],
     )
     _write_rows(path, INTERVAL_HEADER, rows, config)
@@ -278,16 +278,17 @@ def write_report_rows_csv(path, rows, config=None):
     _write_rows(path, REPORT_HEADER, formatted, config)
 
 
-def write_widths_csv(path, row_ids, y_true, interval_sets, config=None):
-    """Per-row width, segment count and coverage; ``interval_sets`` as in
-    :func:`write_intervals_csv`."""
-    batch = as_batch(interval_sets)
+def write_widths_csv(
+    path, row_ids, y_true, interval_sets: IntervalBatch, config=None
+):
+    """Per-row width, segment count and coverage of ``interval_sets``,
+    one row per row id."""
     y = np.asarray(y_true, dtype=float).ravel()
     rows = zip(
         row_ids,
         map(repr, y.tolist()),
-        map(repr, batch.total_width().tolist()),
-        batch.n_segments.tolist(),
-        batch.contains(y).astype(int).tolist(),
+        map(repr, interval_sets.total_width().tolist()),
+        interval_sets.n_segments.tolist(),
+        interval_sets.contains(y).astype(int).tolist(),
     )
     _write_rows(path, WIDTH_HEADER, rows, config)

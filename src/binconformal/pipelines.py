@@ -18,6 +18,7 @@ from scipy.stats import norm
 
 from . import baselines
 from .conformal import (
+    _validate_alpha,
     bccp_bounds,
     bccp_contiguous_bounds,
     calibrate,
@@ -114,8 +115,10 @@ def make_intervals(
     (train_features, train_y_raw, test_features); without it the quantile
     regression uses the transformed point prediction as its one regressor,
     fit on the calibration pairs. NaN or infinite calibration outcomes,
-    calibration predictions or test predictions raise DataError.
+    calibration predictions or test predictions raise DataError; an
+    ``alpha`` outside (0, 1) raises ConfigurationError.
     """
+    alpha = _validate_alpha(alpha)
     if kind not in BUILDERS:
         raise ConfigurationError(
             f"unknown method {kind!r}; expected one of {', '.join(METHOD_KINDS)}"

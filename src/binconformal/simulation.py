@@ -28,10 +28,16 @@ STREAM_METHOD = 2
 def derive_rng(seed, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream tags...).
 
-    ``seed`` may be an int or a sequence of ints (e.g. (base, replicate)).
+    ``seed`` may be an int or a sequence of ints (e.g. (base, replicate)),
+    none of them negative.
     """
     parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-    return np.random.default_rng([*map(int, parts), *map(int, stream)])
+    try:
+        return np.random.default_rng([*map(int, parts), *map(int, stream)])
+    except ValueError:
+        raise ConfigurationError(
+            f"seeds must be non-negative integers, got {seed!r}"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +46,6 @@ class Dataset:
 
     features: np.ndarray
     y: np.ndarray
-    seed: object
     split: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -64,7 +69,7 @@ def lognormal_dgp(n: int, seed=0, sigma: float = 0.5) -> Dataset:
     rng = derive_rng(seed, STREAM_DGP)
     features = rng.uniform(size=(n, 2))
     y = np.exp(rng.normal(features[:, 0] + features[:, 1], sigma))
-    return Dataset(features=features, y=y, seed=seed)
+    return Dataset(features=features, y=y)
 
 
 def zero_inflated_count_dgp(
@@ -91,7 +96,19 @@ def zero_inflated_count_dgp(
     mu = mean_coefs[0] * features[:, 0] + mean_coefs[1] * features[:, 1]
     counts = np.maximum(1.0, np.rint(np.exp(rng.normal(mu, log_sigma))))
     y = np.where(is_zero, 0.0, counts)
-    return Dataset(features=features, y=y, seed=seed)
+    return Dataset(features=features, y=y)
+
+
+def generate(dgp: str, n: int, seed=0, zero_prob: float = 0.867) -> Dataset:
+    """Unsplit dataset from the named generator, "lognormal" or "zicount";
+    ``zero_prob`` applies to "zicount" only."""
+    # generators are looked up as module globals at call time, so a wrapper
+    # installed on those bindings sees every call
+    if dgp == "lognormal":
+        return lognormal_dgp(n, seed=seed)
+    if dgp == "zicount":
+        return zero_inflated_count_dgp(n, zero_prob=zero_prob, seed=seed)
+    raise ConfigurationError(f"unknown data generator {dgp!r}")
 
 
 def split(dataset: Dataset, proportions: tuple, seed=0) -> Dataset:

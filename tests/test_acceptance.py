@@ -28,6 +28,7 @@ from binconformal.evaluation import (
 )
 from binconformal.intervals import (
     BinPartition,
+    IntervalBatch,
     PredictionInterval,
     bins_from_cutpoints,
     bins_from_percentiles,
@@ -332,7 +333,7 @@ class TestCriterion5StructuralProperties:
         sets.append(union([PredictionInterval(7.0, 7.0)]))
         ids = [f"r{i}" for i in range(len(sets))]
         path = tmp_path / "roundtrip.csv"
-        write_intervals_csv(path, ids, sets)
+        write_intervals_csv(path, ids, IntervalBatch.from_sets(sets))
         order, parsed, _ = read_intervals_csv(path)
         assert order == ids
         assert all(parsed[rid] == s for rid, s in zip(ids, sets))

@@ -6,7 +6,7 @@ import pytest
 
 from binconformal import io
 from binconformal.cli import main
-from binconformal.intervals import PredictionInterval, union
+from binconformal.intervals import IntervalBatch, PredictionInterval, union
 
 INF = math.inf
 
@@ -51,7 +51,8 @@ class TestIntervalCsvRoundTrip:
         sets.append(union([PredictionInterval(3.0, 3.0)]))
         ids = [str(i) for i in range(len(sets))]
         path = tmp_path / "iv.csv"
-        io.write_intervals_csv(path, ids, sets, config={"command": "test"})
+        batch = IntervalBatch.from_sets(sets)
+        io.write_intervals_csv(path, ids, batch, config={"command": "test"})
         order, parsed, _ = io.read_intervals_csv(path)
         assert order == ids
         for rid, original in zip(ids, sets):
@@ -59,7 +60,7 @@ class TestIntervalCsvRoundTrip:
 
     def test_flags_round_trip(self, tmp_path):
         path = tmp_path / "iv.csv"
-        sets = [union([PredictionInterval(0, 1)])]
+        sets = IntervalBatch.from_sets([union([PredictionInterval(0, 1)])])
         io.write_intervals_csv(path, ["r"], sets, flags=[("clamped", "unbounded")])
         _, _, flags = io.read_intervals_csv(path)
         assert flags["r"] == ("clamped", "unbounded")
@@ -457,3 +458,19 @@ class TestReportCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["simulate", "report", "intervals"])
+    def test_negative_seed_is_config_error(self, command, two_bin_files, tmp_path,
+                                           capsys):
+        cal, test = two_bin_files
+        argv = {
+            "simulate": ["simulate", "--dgp", "lognormal", "--n", "100"],
+            "report": ["report", "--study", "lognormal", "--replications", "1",
+                       "--n", "800", "--methods", "scp"],
+            "intervals": ["intervals", "--method", "bootstrap",
+                          "--calibration", str(cal), "--test", str(test)],
+        }[command]
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert "configuration error" in capsys.readouterr().err

@@ -9,8 +9,6 @@ from binconformal.conformal import (
     bccp_per_bin_interval,
     calibrate,
     calibration_from_scores,
-    conformal_pvalue,
-    default_grid,
     finite_sample_quantile,
     grid_interval,
     scp_interval,
@@ -74,21 +72,6 @@ class TestFiniteSampleQuantile:
                 np.append(scores, scores.max() + 1.0), alpha
             )
             assert after >= before
-
-
-class TestConformalPvalue:
-    def test_candidate_above_all(self):
-        assert conformal_pvalue(10.0, [1.0, 2.0, 3.0]) == 0.25
-
-    def test_candidate_below_all(self):
-        assert conformal_pvalue(0.0, [1.0, 2.0, 3.0]) == 1.0
-
-    def test_ties_count_as_larger_or_equal(self):
-        assert conformal_pvalue(2.0, [1.0, 2.0, 3.0]) == 0.75
-
-    def test_empty_raises(self):
-        with pytest.raises(DataError):
-            conformal_pvalue(1.0, [])
 
 
 class TestScpInterval:
@@ -291,26 +274,6 @@ class TestGridInterval:
     def test_empty_scores_raise(self):
         with pytest.raises(DataError):
             grid_interval(0.0, [], [0.0, 1.0], alpha=0.1)
-
-
-class TestDefaultGrid:
-    def test_span_and_resolution(self):
-        cal = calibrate([1.0, 9.0], [2.0, 6.0], 0.5, support_min=0.0)
-        grid = default_grid(cal, resolution=101)
-        assert len(grid) == 101
-        assert grid[0] == 0.0
-        assert grid[-1] == 9.0 + 3.0 * 3.0
-
-    def test_unbounded_support_uses_score_padding(self):
-        cal = calibrate([1.0, 9.0], [2.0, 6.0], 0.5)
-        grid = default_grid(cal, resolution=11)
-        assert grid[0] == 1.0 - 9.0
-        assert grid[-1] == 9.0 + 9.0
-
-    def test_scores_only_calibration_rejected(self):
-        cal = calibration_from_scores([1.0, 2.0], alpha=0.1)
-        with pytest.raises(ConfigurationError):
-            default_grid(cal)
 
 
 class TestMarginalValidity:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,28 +8,95 @@ from binconformal.errors import ConfigurationError, DataError
 from binconformal.evaluation import (
     AGGREGATE,
     QUARTILES,
+    SEVEN_BIN_CUTPOINTS,
     MethodSpec,
     StudyConfig,
     coverage,
     lognormal_study,
-    quartile_labels,
     run_replications,
     zicount_study,
 )
-from binconformal.intervals import PredictionInterval, bins_from_cutpoints, union
+from binconformal.intervals import (
+    IntervalBatch,
+    PredictionInterval,
+    bins_from_cutpoints,
+    union,
+)
 from binconformal.models import OutcomeTransform
 from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
 
 INF = math.inf
 
+# json.dumps(as_dict(), sort_keys=True) of the configs in
+# test_config_json_unchanged; each report CSV's "# config:" line is this JSON
+CONFIG_JSON = (
+    (
+        '{"alpha": 0.1, "base_seed": 20240501, "bootstrap_draws": 2000, "dgp": '
+        '"lognormal", "grouping": "quartiles", "methods": [{"cutpoints": null, '
+        '"kind": "scp", "n_bins": null, "name": "scp", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "bccp-c", "n_bins": 2, '
+        '"name": "bccp-c-2", "transform": "identity"}, {"cutpoints": null, '
+        '"kind": "bccp-c", "n_bins": 4, "name": "bccp-c-4", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "bccp-c", "n_bins": 6, '
+        '"name": "bccp-c-6", "transform": "identity"}, {"cutpoints": null, '
+        '"kind": "bccp-d", "n_bins": 2, "name": "bccp-d-2", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "bccp-d", "n_bins": 4, '
+        '"name": "bccp-d-4", "transform": "identity"}, {"cutpoints": null, '
+        '"kind": "bccp-d", "n_bins": 6, "name": "bccp-d-6", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "bootstrap", "n_bins": null, '
+        '"name": "bootstrap", "transform": "identity"}, {"cutpoints": null, '
+        '"kind": "bootstrap-log", "n_bins": null, "name": "bootstrap-log", '
+        '"transform": "log"}, {"cutpoints": null, "kind": "lognormal", '
+        '"n_bins": null, "name": "lognormal", "transform": "log"}, '
+        '{"cutpoints": null, "kind": "quantreg", "n_bins": null, "name": '
+        '"quantreg", "transform": "log"}], "model_transform": "log", "n": '
+        '10000, "proportions": [0.5, 0.25, 0.25], "replications": 100, '
+        '"round_counts": false, "support_min": 0.0, "zero_prob": 0.867}'
+    ),
+    (
+        '{"alpha": 0.1, "base_seed": 20240502, "bootstrap_draws": 2000, "dgp": '
+        '"zicount", "grouping": [1.0], "methods": [{"cutpoints": null, "kind": '
+        '"scp", "n_bins": null, "name": "scp", "transform": "log1p"}, '
+        '{"cutpoints": [1.0], "kind": "bccp-d", "n_bins": null, "name": '
+        '"bccp-d-2", "transform": "log1p"}, {"cutpoints": [1.0, 8.0, 55.0], '
+        '"kind": "bccp-d", "n_bins": null, "name": "bccp-d-4", "transform": '
+        '"log1p"}, {"cutpoints": [1.0, 3.0, 8.0, 21.0, 55.0, 149.0], "kind": '
+        '"bccp-d", "n_bins": null, "name": "bccp-d-7", "transform": "log1p"}, '
+        '{"cutpoints": null, "kind": "bootstrap-log", "n_bins": null, "name": '
+        '"bootstrap-log", "transform": "log1p"}, {"cutpoints": null, "kind": '
+        '"bootstrap", "n_bins": null, "name": "bootstrap", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "lognormal", "n_bins": null, '
+        '"name": "lognormal", "transform": "log1p"}, {"cutpoints": null, '
+        '"kind": "negbinom", "n_bins": null, "name": "negbinom", "transform": '
+        '"identity"}, {"cutpoints": null, "kind": "poisson", "n_bins": null, '
+        '"name": "poisson", "transform": "identity"}, {"cutpoints": null, '
+        '"kind": "quantreg", "n_bins": null, "name": "quantreg", "transform": '
+        '"log1p"}], "model_transform": "log1p", "n": 40000, "proportions": '
+        '[0.7, 0.2, 0.1], "replications": 50, "round_counts": false, '
+        '"support_min": 0.0, "zero_prob": 0.867}'
+    ),
+    (
+        '{"alpha": 0.2, "base_seed": 3, "bootstrap_draws": 2000, "dgp": '
+        '"zicount", "grouping": [1.0, 3.0, 8.0, 21.0, 55.0, 149.0], "methods": '
+        '[{"cutpoints": [1.0, 8.0], "kind": "bccp-c", "n_bins": null, "name": '
+        '"b", "transform": "log1p"}, {"cutpoints": null, "kind": "poisson", '
+        '"n_bins": null, "name": "p", "transform": "identity"}], '
+        '"model_transform": "log1p", "n": 100, "proportions": [0.7, 0.2, 0.1], '
+        '"replications": 1, "round_counts": true, "support_min": 0.0, '
+        '"zero_prob": 0.867}'
+    ),
+)
+
 
 def sets_of(*pairs):
-    return [union([PredictionInterval(lo, hi)]) for lo, hi in pairs]
+    return IntervalBatch.from_sets(
+        union([PredictionInterval(lo, hi)]) for lo, hi in pairs
+    )
 
 
 class TestCoverage:
     def test_universal_intervals_cover_everything(self):
-        sets = [union([PredictionInterval(-INF, INF)])] * 5
+        sets = sets_of(*[(-INF, INF)] * 5)
         tallies = coverage(sets, [0.0, 1.0, -3.0, 100.0, 7.0])
         assert tallies[AGGREGATE].coverage == 1.0
         assert tallies[AGGREGATE].inf_width_count == 5
@@ -41,7 +109,7 @@ class TestCoverage:
             lo = v - rng.uniform(0, 2)
             sets.append(union([PredictionInterval(lo, lo + rng.uniform(0, 3))]))
         grouping = bins_from_cutpoints([2.0, 5.0], support_min=0.0)
-        tallies = coverage(sets, y, grouping)
+        tallies = coverage(IntervalBatch.from_sets(sets), y, grouping)
         group_names = [g for g in tallies if g != AGGREGATE]
         assert sum(tallies[g].n for g in group_names) == tallies[AGGREGATE].n
         assert sum(tallies[g].covered for g in group_names) == tallies[AGGREGATE].covered
@@ -52,7 +120,7 @@ class TestCoverage:
         grouping = bins_from_cutpoints([3.0], support_min=0.0)
         a = coverage(sets, y, grouping)
         perm = [2, 0, 3, 1]
-        b = coverage([sets[i] for i in perm], y[perm], grouping)
+        b = coverage(IntervalBatch.from_sets(sets[i] for i in perm), y[perm], grouping)
         assert a == b
 
     def test_length_mismatch_raises(self):
@@ -62,7 +130,7 @@ class TestCoverage:
     def test_discontiguity_counted(self):
         two_seg = union([PredictionInterval(0, 1), PredictionInterval(3, 4)])
         sets = [two_seg, union([PredictionInterval(0, 4)])]
-        tallies = coverage(sets, [0.5, 0.5])
+        tallies = coverage(IntervalBatch.from_sets(sets), [0.5, 0.5])
         assert tallies[AGGREGATE].discontiguity_rate == 0.5
 
 
@@ -79,14 +147,6 @@ class TestMeanWidth:
         sets = sets_of((0, 10), (0, INF))
         t = coverage(sets, [1.0, 2.0])[AGGREGATE]
         assert (t.n, t.mean_width, t.inf_width_count) == (2, 10.0, 1)
-
-
-class TestQuartileLabels:
-    def test_equal_group_sizes(self):
-        labels, order = quartile_labels(np.random.default_rng(0).normal(size=1000))
-        assert order == ("Q1", "Q2", "Q3", "Q4")
-        counts = {g: labels.count(g) for g in order}
-        assert max(counts.values()) - min(counts.values()) <= 1
 
 
 class TestMakeIntervals:
@@ -205,6 +265,11 @@ class TestMethodSpec:
         with pytest.raises(ConfigurationError, match="needs bins"):
             MethodSpec(kind, kind)
 
+    @pytest.mark.parametrize("cutpoints", [(), (1.0,)])
+    def test_n_bins_and_cutpoints_together_rejected(self, cutpoints):
+        with pytest.raises(ConfigurationError, match="not both"):
+            MethodSpec("b", "bccp-d", n_bins=4, cutpoints=cutpoints)
+
 
 class TestRunReplications:
     def make_tiny_config(self, **overrides):
@@ -278,6 +343,22 @@ class TestRunReplications:
         stat = report.get("scp", "Q1")
         assert stat.n == 3 * 25
         assert 0.0 <= stat.coverage <= 1.0
+
+    def test_config_json_unchanged(self):
+        # the "# config:" line of every report CSV is this JSON
+        spec = StudyConfig(
+            dgp="zicount", n=100, proportions=(0.7, 0.2, 0.1), alpha=0.2,
+            methods=(
+                MethodSpec("b", "bccp-c", OutcomeTransform.LOG1P, cutpoints=(1.0, 8.0)),
+                MethodSpec("p", "poisson"),
+            ),
+            replications=1, base_seed=3, model_transform=OutcomeTransform.LOG1P,
+            grouping=SEVEN_BIN_CUTPOINTS, support_min=0.0, round_counts=True,
+        )
+        for config, expected in zip(
+            (lognormal_study(), zicount_study(), spec), CONFIG_JSON
+        ):
+            assert json.dumps(config.as_dict(), sort_keys=True) == expected
 
     def test_presets_construct(self):
         t1 = lognormal_study(replications=2)

@@ -9,6 +9,7 @@ from binconformal.intervals import (
     PredictionInterval,
     bins_from_cutpoints,
     bins_from_percentiles,
+    bins_from_spec,
     union,
 )
 
@@ -41,12 +42,6 @@ class TestPredictionInterval:
 
     def test_int_inputs_coerced(self):
         assert PredictionInterval(1, 3) == PredictionInterval(1.0, 3.0)
-
-    def test_intersect(self):
-        a = PredictionInterval(1.0, 5.0)
-        assert a.intersect(PredictionInterval(3.0, 8.0)) == PredictionInterval(3.0, 5.0)
-        assert a.intersect(PredictionInterval(6.0, 8.0)) is None
-        assert a.intersect(PredictionInterval(5.0, 8.0)) == PredictionInterval(5.0, 5.0)
 
 
 class TestUnion:
@@ -251,3 +246,28 @@ class TestBinsFromPercentiles:
             p = bins_from_percentiles(y, k=k)
             counts = np.bincount(p.assign_many(y))[1:]
             assert counts.max() - counts.min() <= 1
+
+
+class TestBinsFromSpec:
+    def test_percentiles(self):
+        y = np.arange(1, 101)
+        assert bins_from_spec("percentiles:4", y, -INF) == bins_from_percentiles(y, k=4)
+
+    def test_cutpoints(self):
+        assert bins_from_spec("1,8,55", None, -INF) == bins_from_cutpoints(
+            [1.0, 8.0, 55.0], support_min=-INF
+        )
+
+    @pytest.mark.parametrize("spec", ["percentiles:x", "1,,2"])
+    def test_unparsable_spec_is_config_error(self, spec):
+        with pytest.raises(ConfigurationError, match="cannot parse bin spec"):
+            bins_from_spec(spec, np.arange(10.0), -INF)
+
+    def test_support_min_passed_through(self):
+        y = np.arange(1, 101)
+        assert bins_from_spec("1,3", y, 0.0).support_min == 0.0
+        assert bins_from_spec("percentiles:2", y, 0.0) == bins_from_percentiles(
+            y, k=2, support_min=0.0
+        )
+        with pytest.raises(ConfigurationError):
+            bins_from_spec("1,3", y, 2.0)  # first cutpoint not above support_min
