@@ -9,8 +9,6 @@ the same harness.
 """
 
 import math
-import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,8 +56,9 @@ def _as_rng(rng) -> np.random.Generator:
         ) from None
 
 
-# bytes of one block's draw matrix: about 4 MB, 262 rows at 2,000 draws
-_BLOCK_BYTES = 1 << 22
+# bytes of one block's draws: 65 rows at 2,000 draws, so that the block's
+# int64 draws and int32 ranks stay in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 def _block_rows(n_draws: int) -> int:
@@ -67,15 +66,19 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_quantiles(out, y_hats, res, idx, q):
-    out[:] = np.quantile(y_hats[:, None] - res[idx], q, axis=1)
+def _block_bounds(out, y_hats, idx, rank, sorted_res, cols, gamma):
+    """``np.quantile(y_hats[:, None] - res[idx], q, axis=1)`` into ``out``
+    from the sorted ranks of the draws; ``cols`` and ``gamma`` are the
+    columns and weights of numpy's linear method, counted from the top."""
+    r = rank[idx]
+    r.sort(axis=1)
+    # fl(y - x) never increases with x, so the j-th smallest simulated
+    # outcome of a row is y minus its (B-1-j)-th smallest drawn residual
+    a, b = (y_hats - sorted_res[r[:, c]].T for c in cols)
+    # numpy's _lerp, operation for operation, so the bytes match
+    diff = b - a
+    np.add(a, diff * gamma, out=out)
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
 
 
 def bootstrap_intervals(
@@ -92,43 +95,54 @@ def bootstrap_intervals(
     residuals resampled with replacement and SUBTRACTED from it (the basic
     reverse-percentile form, which reflects skew in the error pool); the
     interval is the empirical [alpha/2, 1 - alpha/2] quantile range of the
-    simulated outcomes, back-transformed to the raw scale and clamped at
-    ``support_min``. For symmetric pools this coincides with adding the
-    residuals.
+    simulated outcomes (numpy's default linear method), back-transformed
+    to the raw scale and clamped at ``support_min``. For symmetric pools
+    this coincides with adding the residuals.
 
-    Rows are processed in blocks of about 4 MB of draws. The calling
+    Rows are processed in blocks of about 1 MB of draws. The calling
     thread draws each block's indices from ``rng`` in row order, which
-    yields the same integers as one (n, n_draws) draw; worker threads, one
-    per usable CPU, take the quantiles. A row's bounds depend only on its
-    own draws, so the result does not depend on the block size or the
-    number of CPUs, and memory stays O(block) instead of O(n).
+    yields the same integers as one (n, n_draws) draw, while one worker
+    thread takes the previous block's quantiles from the sorted ranks of
+    its draws. A row's bounds depend only on its own draws, so the result
+    does not depend on the block size, and memory stays O(block) instead
+    of O(n).
     """
     res = pool.residuals
     if res.size == 0:
         raise DataError("empty calibration: residual pool has no records")
+    if not np.all(np.isfinite(res)):
+        raise DataError("residual pool holds NaN or infinite values")
     if n_draws < 100:
         raise ConfigurationError(f"bootstrap needs at least 100 draws, got {n_draws}")
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
     y_hats = np.asarray(y_hats, dtype=float).ravel()
     rng = _as_rng(rng)
-    q = [alpha / 2, 1 - alpha / 2]
+    order = np.argsort(res, kind="stable")
+    sorted_res = res[order]
+    rank = np.empty(res.size, dtype=np.int32)
+    rank[order] = np.arange(res.size, dtype=np.int32)
+    # numpy's "linear" (Hyndman-Fan type 7) positions, counted from the top
+    # of a row's sorted ranks
+    v = (n_draws - 1) * np.array([alpha / 2, 1 - alpha / 2])
+    prev = np.floor(v)
+    gamma = (v - prev)[:, None]
+    top = n_draws - 1 - prev.astype(np.intp)
+    cols = (top, np.maximum(top - 1, 0))
     bounds = np.empty((2, y_hats.size))
     rows = _block_rows(n_draws)
-    workers = _usable_cpus()
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        # at most workers + 1 blocks alive: one per worker plus one queued
-        in_flight = deque()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # at most two blocks alive: one in the worker, one being drawn
+        pending = None
         for start in range(0, y_hats.size, rows):
             block = slice(start, start + rows)
             idx = rng.integers(0, res.size, size=(y_hats[block].size, n_draws))
-            in_flight.append(executor.submit(
-                _block_quantiles, bounds[:, block], y_hats[block], res, idx, q
-            ))
-            if len(in_flight) > workers:
-                in_flight.popleft().result()
-        for future in in_flight:
-            future.result()
+            if pending is not None:
+                pending.result()
+            pending = worker.submit(_block_bounds, bounds[:, block], y_hats[block],
+                                    idx, rank, sorted_res, cols, gamma)
+        if pending is not None:
+            pending.result()
     lo = np.maximum(support_min, pool.scale.inverse(bounds[0]))
     hi = np.maximum(support_min, pool.scale.inverse(bounds[1]))
     return IntervalBatch.from_bounds(lo, hi)

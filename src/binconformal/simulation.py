@@ -115,7 +115,7 @@ def split(dataset: Dataset, proportions: tuple, seed=0) -> Dataset:
     """Assign train/calibration/test labels by uniform random permutation.
 
     Counts are exact: each part gets floor(p * n) rows and the remainder
-    goes to the training set.
+    goes to the training set. A part left with no rows is an error.
     """
     props = tuple(float(p) for p in proportions)
     if len(props) != 3:
@@ -127,6 +127,9 @@ def split(dataset: Dataset, proportions: tuple, seed=0) -> Dataset:
     n = len(dataset)
     counts = [math.floor(p * n + 1e-9) for p in props]
     counts[0] += n - sum(counts)
+    empty = [label for label, count in zip(SPLIT_LABELS, counts) if count == 0]
+    if empty:
+        raise ConfigurationError(f"the {empty[0]} part of a {n}-row split by {props} is empty")
     rng = derive_rng(seed, STREAM_SPLIT)
     order = rng.permutation(n)
     labels = np.empty(n, dtype="<U11")

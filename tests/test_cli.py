@@ -90,6 +90,14 @@ class TestSimulate:
         _, rows = read_table(out)
         assert all(float(r["y"]) == 0.0 for r in rows)
 
+    def test_empty_split_part_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--dgp", "lognormal", "--n", "3", "--out", str(out),
+        ]) == 2
+        assert "calibration part" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--dgp", "lognormal", "--n", "500", "--seed", "11"]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from binconformal.conformal import (
@@ -244,6 +244,27 @@ class TestKernelMatchesOracle:
             assert same_set(got.sets[i], s)
             assert s.contains(5.0) and s.contains(10.0)
         assert got.notes
+
+
+class TestNestingInAlpha:
+    @SETTINGS
+    @given(conformal_cases(), st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.35, 0.5]))
+    def test_smaller_alpha_set_contains_larger_alpha_set(self, case, other):
+        # a1 < a2 gives a no smaller calibration rank in every bin, and the
+        # back-transform and count rounding are monotone, so every a2 set
+        # lies inside its a1 set
+        assume(case["transform"] is not LOG and other != case["alpha"])
+        a1, a2 = sorted((case["alpha"], other))
+        args = (case["kind"], case["y_cal"], case["p_cal"], case["p_test"])
+        kwargs = dict(transform=case["transform"], bins=case["bins"],
+                      round_counts=case["round_counts"], allow_empty_bins=True)
+        wide = make_intervals(*args, alpha=a1, **kwargs).sets
+        narrow = make_intervals(*args, alpha=a2, **kwargs).sets
+        for i, (outer, inner) in enumerate(zip(wide, narrow)):
+            assert all(
+                any(o.lower <= g.lower and g.upper <= o.upper for o in outer)
+                for g in inner
+            ), (i, outer, inner)
 
 
 def random_sets(rng, n):

@@ -120,6 +120,15 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             lognormal_dgp(10, seed=1).rows(TRAIN)
 
+    @pytest.mark.parametrize("n, props, empty", [
+        (3, (0.5, 0.25, 0.25), "calibration"),
+        (9, (0.8, 0.1, 0.1), "calibration"),
+        (19, (0.6, 0.35, 0.05), "test"),
+    ])
+    def test_empty_part_rejected(self, n, props, empty):
+        with pytest.raises(ConfigurationError, match=f"the {empty} part"):
+            split(lognormal_dgp(n, seed=1), props, seed=2)
+
     def test_invalid_proportions(self):
         ds = lognormal_dgp(10, seed=1)
         with pytest.raises(ConfigurationError):
