@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import nbinom, norm, poisson
 
+from .conformal import require_finite
 from .errors import ConfigurationError, DataError, NumericalError
 from .intervals import IntervalBatch, PredictionInterval
 from .models import OutcomeTransform
@@ -116,7 +117,7 @@ def bootstrap_intervals(
         raise ConfigurationError(f"bootstrap needs at least 100 draws, got {n_draws}")
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    y_hats = np.asarray(y_hats, dtype=float).ravel()
+    y_hats = require_finite(y_hats, "bootstrap predictions")
     rng = _as_rng(rng)
     order = np.argsort(res, kind="stable")
     sorted_res = res[order]
@@ -172,7 +173,7 @@ def residual_sigma(y_true, y_pred, scale: OutcomeTransform = OutcomeTransform.LO
 
 def poisson_intervals(mus, alpha: float) -> IntervalBatch:
     """Central [alpha/2, 1-alpha/2] Poisson quantile intervals, one per mean."""
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    mus = require_finite(mus, "Poisson means")
     if np.any(mus < 0):
         raise DataError("Poisson mean must be nonnegative")
     lo = np.zeros_like(mus)
@@ -188,7 +189,7 @@ def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
     """Negative-binomial quantile intervals with variance mu + mu^2/dispersion."""
     if not dispersion > 0:
         raise NumericalError(f"dispersion must be positive, got {dispersion}")
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
+    mus = require_finite(mus, "negative-binomial means")
     if np.any(mus < 0):
         raise DataError("negative-binomial mean must be nonnegative")
     lo = np.zeros_like(mus)

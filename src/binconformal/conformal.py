@@ -19,7 +19,10 @@ Conventions, fixed here so results are deterministic:
   adjacent bins touch at a breakpoint the union closes the joint. A
   segment that would consist solely of the excluded right edge is empty.
 * Predictions below the declared support minimum are clamped to it before
-  interval construction.
+  interval construction. The support minimum, like the partition, is on
+  the scale the scores are computed on; the pipelines map a raw bound
+  there with one rule (``log`` of 0 is -inf).
+* A calibration of bare scores ``s`` is ``calibrate(s, np.zeros(n), alpha)``.
 
 The per-row functions (:func:`scp_interval`, :func:`bccp_discontiguous`,
 :func:`bccp_contiguous`) are the reference; the ``*_bounds`` functions
@@ -137,10 +140,6 @@ def calibrate(
         raise DataError("empty calibration: no records")
     if np.any(yt < support_min):
         raise DataError("calibration outcome below the declared support minimum")
-    if partition is not None and partition.support_min > support_min and np.any(
-        yt < partition.support_min
-    ):
-        raise DataError("calibration outcome below the partition support minimum")
     scores = np.abs(yt - yp)
 
     bin_indices = None
@@ -169,20 +168,6 @@ def calibrate(
         bin_quantiles=bin_quantiles,
         partition=partition,
         bin_indices=bin_indices,
-    )
-
-
-def calibration_from_scores(
-    scores, alpha: float, *, support_min: float = -INF
-) -> ConformalCalibration:
-    """Calibration carrying only global scores (enough for SCP)."""
-    arr = np.asarray(scores, dtype=float).ravel()
-    return ConformalCalibration(
-        scores=arr,
-        alpha=_validate_alpha(alpha),
-        support_min=float(support_min),
-        quantile=finite_sample_quantile(arr, alpha),
-        bin_quantiles=None,
     )
 
 

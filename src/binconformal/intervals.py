@@ -310,15 +310,6 @@ class BinPartition:
             )
         return np.searchsorted(np.asarray(self.breakpoints), arr, side="right") + 1
 
-    def transformed(self, forward) -> "BinPartition":
-        """Partition on a monotone-transformed axis (e.g. log1p of counts)."""
-        if self.support_min == -INF:
-            smin = -INF
-        else:
-            with np.errstate(divide="ignore"):
-                smin = float(forward(self.support_min))
-        return BinPartition(tuple(float(forward(b)) for b in self.breakpoints), smin)
-
 
 def bins_from_cutpoints(
     cutpoints: Sequence[float], support_min: float

@@ -37,7 +37,10 @@ class OutcomeTransform(Enum):
             out = arr
         elif self is OutcomeTransform.LOG:
             if np.any(arr <= 0):
-                raise DataError("log transform requires strictly positive outcomes")
+                raise DataError(
+                    "log transform requires strictly positive values; "
+                    "use log1p for count-like data"
+                )
             out = np.log(arr)
         else:
             if np.any(arr < 0):

@@ -72,14 +72,8 @@ class _Inputs:
 
 
 def _clamp_predictions(arr, transform, support_min):
-    """Clamp raw predictions the transform cannot accept; report which."""
-    if transform is OutcomeTransform.LOG:
-        if np.any(arr <= 0):
-            raise DataError(
-                "log-scale method needs strictly positive predictions; "
-                "use log1p for count-like data"
-            )
-        return arr, np.zeros(arr.size, dtype=bool)
+    """Clamp raw predictions below ``max(support_min, transform.support_min)``
+    to that floor; report which."""
     floor = max(support_min, transform.support_min)
     if not math.isfinite(floor):
         return arr, np.zeros(arr.size, dtype=bool)
@@ -154,6 +148,8 @@ def make_intervals(
 
 
 def _transformed_support(transform, smin_raw):
+    """A raw lower bound on the method's scale; -inf where the transform
+    maps it below every finite value (``log`` of 0 or less)."""
     if not math.isfinite(smin_raw):
         return -INF
     if transform is OutcomeTransform.LOG and smin_raw <= 0:
@@ -188,13 +184,13 @@ def _conformal(bounds, inputs):
     partition = None
     snap = {}
     if bins is not None:
-        if transform is OutcomeTransform.IDENTITY:
-            partition = bins
-        else:
-            partition = bins.transformed(transform.forward)
-            snap = dict(zip(partition.breakpoints, bins.breakpoints))
-            if math.isfinite(partition.support_min):
-                snap[partition.support_min] = bins.support_min
+        partition = BinPartition(
+            map(transform.forward, bins.breakpoints),
+            _transformed_support(transform, bins.support_min),
+        )
+        snap = dict(zip(partition.breakpoints, bins.breakpoints))
+        if math.isfinite(partition.support_min):
+            snap[partition.support_min] = bins.support_min
     cal = calibrate(
         transform.forward(inputs.y_true_cal), transform.forward(inputs.y_pred_cal),
         inputs.alpha, partition=partition,

@@ -110,6 +110,11 @@ class TestBootstrap:
         with pytest.raises(DataError, match="NaN or infinite"):
             bootstrap_intervals([0.0], pool, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prediction_raises(self, bad):
+        with pytest.raises(DataError, match="bootstrap predictions must be finite"):
+            bootstrap_intervals([bad, 1.0], ResidualPool(np.ones(5)), 0.1)
+
     def test_too_few_draws_rejected(self):
         with pytest.raises(ConfigurationError):
             bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, n_draws=50)
@@ -331,6 +336,13 @@ class TestCountIntervals:
             poisson_intervals([-1.0], 0.1)
         with pytest.raises(DataError):
             negbinom_intervals([-1.0], 1.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(DataError, match="Poisson means must be finite"):
+            poisson_intervals([bad, 1.0], 0.1)
+        with pytest.raises(DataError, match="negative-binomial means must be finite"):
+            negbinom_intervals([bad, 1.0], 2.0, 0.1)
 
     def test_nonpositive_dispersion_rejected(self):
         with pytest.raises(NumericalError):

@@ -7,6 +7,7 @@ import pytest
 from binconformal import io
 from binconformal.cli import main
 from binconformal.intervals import IntervalBatch, PredictionInterval, union
+from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS
 
 INF = math.inf
 
@@ -284,6 +285,41 @@ class TestIntervalsCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestMethodTransformMatrix:
+    @pytest.fixture(scope="class")
+    def positive_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("positive")
+        rng = np.random.default_rng(17)
+        y = np.exp(rng.normal(1.0, 1.0, size=60))
+        p = y * np.exp(rng.normal(0.0, 0.3, size=60))
+        cal, test = tmp / "cal.csv", tmp / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"), zip(range(60), y, p))
+        write_csv(test, ("row_id", "y_pred"), [("a", 0.4), ("b", 1.0), ("c", 9.0)])
+        return cal, test
+
+    @pytest.mark.parametrize("transform", ["identity", "log", "log1p"])
+    @pytest.mark.parametrize("method, bins", [
+        *((m, None) for m in METHOD_KINDS if m not in BINNED_KINDS),
+        *((m, b) for m in BINNED_KINDS for b in ("1", "percentiles:3")),
+    ])
+    def test_every_method_runs_under_every_transform(
+        self, positive_files, tmp_path, capsys, method, bins, transform
+    ):
+        cal, test = positive_files
+        argv = [
+            "intervals", "--method", method, "--transform", transform,
+            "--calibration", str(cal), "--test", str(test),
+            "--out", str(tmp_path / "iv.csv"), "--bootstrap-b", "200",
+        ]
+        code = main(argv + (["--bins", bins] if bins else []))
+        err = capsys.readouterr().err
+        if method in ("bootstrap-log", "lognormal") and transform == "identity":
+            assert code == 2
+            assert "requires the log or log1p transform" in err
+        else:
+            assert code == 0, err
 
 
 class TestEvaluateCommand:

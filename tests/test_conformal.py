@@ -8,7 +8,6 @@ from binconformal.conformal import (
     bccp_discontiguous,
     bccp_per_bin_interval,
     calibrate,
-    calibration_from_scores,
     finite_sample_quantile,
     grid_interval,
     scp_interval,
@@ -76,20 +75,20 @@ class TestFiniteSampleQuantile:
 
 class TestScpInterval:
     def test_symmetric_interval(self):
-        cal = calibration_from_scores([2.0] * 19, alpha=0.1)
+        cal = calibrate([2.0] * 19, np.zeros(19), 0.1)
         assert cal.quantile == 2.0
         assert scp_interval(5.0, cal) == PredictionInterval(3.0, 7.0)
 
     def test_degenerate_with_zero_quantile(self):
-        cal = calibration_from_scores([0.0] * 19, alpha=0.1)
+        cal = calibrate([0.0] * 19, np.zeros(19), 0.1)
         assert scp_interval(5.0, cal) == PredictionInterval(5.0, 5.0)
 
     def test_infinite_quantile_clipped_to_support(self):
-        cal = calibration_from_scores([1.0], alpha=0.1, support_min=0.0)
+        cal = calibrate([1.0], np.zeros(1), 0.1, support_min=0.0)
         assert scp_interval(5.0, cal) == PredictionInterval(0.0, INF)
 
     def test_prediction_below_support_clamped(self):
-        cal = calibration_from_scores([2.0] * 19, alpha=0.1, support_min=0.0)
+        cal = calibrate([2.0] * 19, np.zeros(19), 0.1, support_min=0.0)
         assert scp_interval(-3.0, cal) == PredictionInterval(0.0, 2.0)
 
 
@@ -174,7 +173,7 @@ class TestBccpPerBin:
             bccp_per_bin_interval(2.0, 3, cal)
 
     def test_requires_partition(self):
-        cal = calibration_from_scores([1.0] * 19, alpha=0.1)
+        cal = calibrate([1.0] * 19, np.zeros(19), 0.1)
         with pytest.raises(ConfigurationError):
             bccp_per_bin_interval(2.0, 1, cal)
 
@@ -241,7 +240,7 @@ class TestBccpCombined:
 class TestGridInterval:
     def test_matches_analytic_scp_on_fixed_example(self):
         scores = np.arange(1.0, 20.0)  # quantile at alpha=0.1 is 18
-        cal = calibration_from_scores(scores, alpha=0.1)
+        cal = calibrate(scores, np.zeros(scores.size), 0.1)
         assert cal.quantile == 18.0
         grid = np.arange(-25.0, 25.0 + 1e-9, 0.01)
         result = grid_interval(0.0, scores, grid, alpha=0.1)

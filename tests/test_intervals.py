@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from binconformal import pipelines
+from binconformal.conformal import calibrate
 from binconformal.errors import ConfigurationError, DataError
 from binconformal.intervals import (
     IntervalSet,
@@ -12,6 +14,8 @@ from binconformal.intervals import (
     bins_from_spec,
     union,
 )
+from binconformal.models import OutcomeTransform
+from binconformal.pipelines import make_intervals
 
 INF = math.inf
 
@@ -194,14 +198,25 @@ class TestBinPartition:
                     lo2, hi2 = p.bin_bounds(j)
                     assert not (lo2 <= y < hi2)
 
-    def test_transformed_partition(self):
+    def test_transformed_partition(self, monkeypatch):
+        # the partition make_intervals hands calibrate on the log1p scale
+        seen = {}
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "calibrate", spy)
         p = bins_from_cutpoints([1, 3, 8], support_min=0.0)
-        q = p.transformed(np.log1p)
+        y = [0.0, 0.5, 1.0, 2.0, 3.0, 7.9, 8.0, 100.0]
+        make_intervals("bccp-d", y, y, y, alpha=0.1,
+                       transform=OutcomeTransform.LOG1P, bins=p)
+        q = seen["partition"]
         assert q.support_min == 0.0
         assert q.breakpoints == tuple(np.log1p([1.0, 3.0, 8.0]))
         # bin membership is preserved under a monotone map
-        for y in [0, 0.5, 1, 2, 3, 7.9, 8, 100]:
-            assert p.assign(y) == q.assign(np.log1p(y))
+        for v in y:
+            assert p.assign(v) == q.assign(np.log1p(v))
 
 
 class TestBinsFromPercentiles:

@@ -29,6 +29,7 @@ from binconformal.conformal import (
 from binconformal.errors import BinConformalError
 from binconformal.evaluation import AGGREGATE, QUARTILES, GroupTally, coverage
 from binconformal.intervals import (
+    BinPartition,
     IntervalBatch,
     IntervalSet,
     PredictionInterval,
@@ -61,30 +62,32 @@ def same_set(a: IntervalSet, b: IntervalSet) -> bool:
 
 def oracle_rows(kind, y_cal, p_cal, p_test, alpha, transform, bins, round_counts):
     """Intervals and flags built one row at a time, the reference way."""
-    smin_raw = transform.support_min
-    floor = smin_raw
+    floor = transform.support_min
     p_cal = np.asarray(p_cal, dtype=float)
     p_test = np.asarray(p_test, dtype=float)
-    if transform is LOG:
-        if np.any(p_cal <= 0) or np.any(p_test <= 0):
-            raise BinConformalError("log-scale predictions must be positive")
-        clamped = np.zeros(p_test.size, dtype=bool)
-        t_smin = -INF
-    else:
-        clamped = p_test < floor if math.isfinite(floor) else np.zeros(p_test.size, bool)
-        if math.isfinite(floor):
-            p_cal, p_test = np.maximum(p_cal, floor), np.maximum(p_test, floor)
-        t_smin = float(transform.forward(smin_raw)) if math.isfinite(smin_raw) else -INF
+    clamped = p_test < floor if math.isfinite(floor) else np.zeros(p_test.size, bool)
+    if math.isfinite(floor):
+        p_cal, p_test = np.maximum(p_cal, floor), np.maximum(p_test, floor)
+
+    def on_scale(raw):
+        # a raw lower bound on the method's scale: log maps 0 to -inf
+        if raw == -INF or (transform is LOG and raw <= 0):
+            return -INF
+        return float(transform.forward(raw))
+
     partition, snap = None, {}
     if bins is not None:
-        partition = bins if transform is IDENTITY else bins.transformed(transform.forward)
+        partition = BinPartition(
+            tuple(float(transform.forward(b)) for b in bins.breakpoints),
+            on_scale(bins.support_min),
+        )
         if transform is not IDENTITY:
             snap = dict(zip(partition.breakpoints, bins.breakpoints))
             if math.isfinite(partition.support_min):
                 snap[partition.support_min] = bins.support_min
     cal = calibrate(
         transform.forward(y_cal), transform.forward(p_cal), alpha,
-        partition=partition, support_min=t_smin, allow_empty_bins=True,
+        partition=partition, support_min=on_scale(floor), allow_empty_bins=True,
     )
 
     def back(v):
@@ -151,6 +154,21 @@ def conformal_cases(draw):
     )
 
 
+def kernel_rows(case):
+    return make_intervals(
+        case["kind"], case["y_cal"], case["p_cal"], case["p_test"],
+        alpha=case["alpha"], transform=case["transform"], bins=case["bins"],
+        round_counts=case["round_counts"], allow_empty_bins=True,
+    )
+
+
+def assert_same_rows(got, want_sets, want_flags):
+    assert len(got.sets) == len(want_sets)
+    for i, want in enumerate(want_sets):
+        assert same_set(got.sets[i], want), (i, got.sets[i], want)
+    assert got.flags == want_flags
+
+
 class TestKernelMatchesOracle:
     @SETTINGS
     @given(conformal_cases())
@@ -159,22 +177,30 @@ class TestKernelMatchesOracle:
             want_sets, want_flags, _ = oracle_rows(**case)
         except BinConformalError:
             with pytest.raises(BinConformalError):
-                make_intervals(
-                    case["kind"], case["y_cal"], case["p_cal"], case["p_test"],
-                    alpha=case["alpha"], transform=case["transform"],
-                    bins=case["bins"], round_counts=case["round_counts"],
-                    allow_empty_bins=True,
-                )
+                kernel_rows(case)
             return
-        got = make_intervals(
-            case["kind"], case["y_cal"], case["p_cal"], case["p_test"],
-            alpha=case["alpha"], transform=case["transform"], bins=case["bins"],
-            round_counts=case["round_counts"], allow_empty_bins=True,
+        assert_same_rows(kernel_rows(case), want_sets, want_flags)
+
+    @pytest.mark.parametrize("round_counts", [False, True])
+    @pytest.mark.parametrize("kind", ["bccp-d", "bccp-c"])
+    def test_log_scale_bccp_reaches_the_comparison(self, kind, round_counts):
+        # the partition's support 0 is -inf on the log scale; no row here
+        # may end in an error, so the comparison below always runs
+        rng = np.random.default_rng(11)
+        y_cal = np.exp(rng.normal(1.0, 1.0, size=80))
+        p_cal = y_cal * np.exp(rng.normal(0.0, 0.4, size=80))
+        cuts = (1.0, 3.0, 8.0)
+        p_test = np.array([
+            v for c in cuts
+            for v in (np.nextafter(c, -INF), c, np.nextafter(c, INF))
+        ])
+        case = dict(
+            kind=kind, y_cal=y_cal, p_cal=p_cal, p_test=p_test, alpha=0.1,
+            transform=LOG, bins=bins_from_cutpoints(cuts, 0.0),
+            round_counts=round_counts,
         )
-        assert len(got.sets) == len(want_sets)
-        for i, want in enumerate(want_sets):
-            assert same_set(got.sets[i], want), (i, got.sets[i], want)
-        assert got.flags == want_flags
+        want_sets, want_flags, _ = oracle_rows(**case)
+        assert_same_rows(kernel_rows(case), want_sets, want_flags)
 
     @SETTINGS
     @given(

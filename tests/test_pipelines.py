@@ -39,3 +39,18 @@ def test_alpha_outside_unit_interval_rejected_for_every_kind(kind, alpha):
             kind, y, y + 0.5, np.array([3.0]), alpha=alpha,
             transform=OutcomeTransform.LOG1P, bins=bins,
         )
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_prediction_below_support_is_clamped_and_flagged_on_the_log_scale(kind):
+    rng = np.random.default_rng(5)
+    y = 1.0 + rng.gamma(2.0, 2.0, size=60)
+    bins = bins_from_cutpoints([3.0], support_min=1.0) if kind in BINNED_KINDS else None
+    result = make_intervals(
+        kind, y, y * rng.uniform(0.8, 1.2, size=60), [0.5, 1.0], alpha=0.1,
+        transform=OutcomeTransform.LOG, bins=bins, support_min=1.0, rng=0,
+    )
+    assert "clamped" in result.flags[0]
+    assert "clamped" not in result.flags[1]
+    if not kind.startswith("bootstrap"):  # each bootstrap row draws anew
+        assert result.sets[0] == result.sets[1]
