@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import nbinom, norm, poisson
 
 from .conformal import require_finite
 from .errors import ConfigurationError, DataError, NumericalError
@@ -21,6 +20,9 @@ from .intervals import IntervalBatch, PredictionInterval
 from .models import OutcomeTransform
 
 INF = math.inf
+
+# scipy.stats takes about a second to import and only the parametric
+# intervals call it, so each of them imports its distribution when called
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,7 @@ def lognormal_interval(y_hat_log: float, sigma_hat: float, alpha: float) -> Pred
     """exp(y_hat_log +/- z_{1-alpha/2} * sigma_hat)."""
     if not sigma_hat > 0:
         raise NumericalError(f"dispersion must be positive, got {sigma_hat}")
+    from scipy.stats import norm
     z = norm.ppf(1 - alpha / 2)
     return PredictionInterval(
         math.exp(y_hat_log - z * sigma_hat), math.exp(y_hat_log + z * sigma_hat)
@@ -180,6 +183,7 @@ def poisson_intervals(mus, alpha: float) -> IntervalBatch:
     hi = np.zeros_like(mus)
     positive = mus > 0
     if np.any(positive):
+        from scipy.stats import poisson
         lo[positive] = poisson.ppf(alpha / 2, mus[positive])
         hi[positive] = poisson.ppf(1 - alpha / 2, mus[positive])
     return IntervalBatch.from_bounds(lo, hi)
@@ -196,6 +200,7 @@ def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
     hi = np.zeros_like(mus)
     positive = mus > 0
     if np.any(positive):
+        from scipy.stats import nbinom
         p = dispersion / (dispersion + mus[positive])
         lo[positive] = nbinom.ppf(alpha / 2, dispersion, p)
         hi[positive] = nbinom.ppf(1 - alpha / 2, dispersion, p)

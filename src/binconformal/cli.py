@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dgp", choices=tuple(STUDIES), required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--zero-prob", type=float, default=0.867)
+    p_sim.add_argument("--zero-prob", type=float, default=None,
+                       help="zicount only (default: the study preset's)")
     p_sim.add_argument("--proportions", default=None,
                        help="train,calibration,test fractions "
                             "(default: the study preset's)")
@@ -122,17 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
+    if args.zero_prob is not None and args.dgp != "zicount":
+        raise ConfigurationError("--zero-prob only applies to the zicount generator")
+    preset = STUDIES[args.dgp]()
     if args.proportions is None:
-        proportions = STUDIES[args.dgp]().proportions
+        proportions = preset.proportions
     else:
         proportions = _parse_proportions(args.proportions)
+    zero_prob = preset.zero_prob if args.zero_prob is None else args.zero_prob
     dataset = split(
-        generate(args.dgp, args.n, args.seed, args.zero_prob),
+        generate(args.dgp, args.n, args.seed, zero_prob),
         proportions, seed=args.seed,
     )
     config = {
         "command": "simulate", "dgp": args.dgp, "n": args.n, "seed": args.seed,
-        "zero_prob": args.zero_prob, "proportions": list(proportions),
+        "zero_prob": zero_prob, "proportions": list(proportions),
     }
     io.write_dataset_csv(args.out, dataset, config)
     return EXIT_OK

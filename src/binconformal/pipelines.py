@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm
 
 from . import baselines
 from .conformal import (
@@ -104,7 +103,8 @@ def make_intervals(
     regressions are computed on transform(y), and interval endpoints are
     mapped back to the raw outcome scale. ``bins`` is a raw-scale
     partition, required by the bccp-* methods and rejected by every other
-    one. ``support_min`` defaults to the transform's domain minimum.
+    one. ``support_min`` defaults to the transform's domain minimum; every
+    method clips both endpoints of its intervals at it.
     ``quantreg_design`` optionally supplies
     (train_features, train_y_raw, test_features); without it the quantile
     regression uses the transformed point prediction as its one regressor,
@@ -215,6 +215,13 @@ def _log_scale(inputs, method):
     return inputs.transform
 
 
+def _clipped(lower, upper, inputs):
+    """One segment per row, both endpoints raised to ``support_min`` as
+    the bootstraps raise theirs."""
+    floor = inputs.support_min
+    return IntervalBatch.from_bounds(np.maximum(floor, lower), np.maximum(floor, upper))
+
+
 def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
     pool = baselines.residual_pool(inputs.y_true_cal, inputs.y_pred_cal, scale)
     batch = baselines.bootstrap_intervals(
@@ -233,10 +240,12 @@ def _lognormal(inputs):
     sigma = baselines.residual_sigma(inputs.y_true_cal, inputs.y_pred_cal, transform)
     if sigma <= 0:
         raise DataError("calibration residuals have zero dispersion")
+    # scipy.stats takes about a second to import: load it only here
+    from scipy.stats import norm
     z = float(norm.ppf(1 - inputs.alpha / 2))
     p_t = transform.forward(inputs.y_pred_test)
-    batch = IntervalBatch.from_bounds(
-        transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma)
+    batch = _clipped(
+        transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma), inputs
     )
     return batch, (), False
 
@@ -248,7 +257,8 @@ def _count_means(inputs):
 
 
 def _poisson(inputs):
-    return baselines.poisson_intervals(_count_means(inputs), inputs.alpha), (), False
+    batch = baselines.poisson_intervals(_count_means(inputs), inputs.alpha)
+    return _clipped(batch.lower, batch.upper, inputs), (), False
 
 
 def _negbinom(inputs):
@@ -256,10 +266,13 @@ def _negbinom(inputs):
     dispersion = baselines.estimate_nb_dispersion(
         inputs.y_true_cal, np.maximum(0.0, inputs.y_pred_cal)
     )
+    notes = ()
     if dispersion is None:
         notes = ("no overdispersion in calibration; using Poisson quantiles",)
-        return baselines.poisson_intervals(mus, inputs.alpha), notes, False
-    return baselines.negbinom_intervals(mus, dispersion, inputs.alpha), (), False
+        batch = baselines.poisson_intervals(mus, inputs.alpha)
+    else:
+        batch = baselines.negbinom_intervals(mus, dispersion, inputs.alpha)
+    return _clipped(batch.lower, batch.upper, inputs), notes, False
 
 
 def _quantreg(inputs):
@@ -274,9 +287,10 @@ def _quantreg(inputs):
     model = baselines.quantreg_pair(X_fit, y_fit, inputs.alpha)
     lo_t = model.lower.predict(np.asarray(X_test, dtype=float))
     hi_t = model.upper.predict(np.asarray(X_test, dtype=float))
-    batch = IntervalBatch.from_bounds(
+    batch = _clipped(
         transform.inverse(np.minimum(lo_t, hi_t)),
         transform.inverse(np.maximum(lo_t, hi_t)),
+        inputs,
     )
     return batch, (), lo_t > hi_t
 

@@ -1,5 +1,10 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +103,22 @@ class TestSimulate:
         ]) == 2
         assert "calibration part" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_prob_for_lognormal_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--dgp", "lognormal", "--n", "100", "--zero-prob", "0.5",
+            "--out", str(out),
+        ]) == 2
+        assert "--zero-prob only applies" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zicount_zero_prob_defaults_to_the_preset(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--dgp", "zicount", "--n", "100", "--out", str(out),
+        ]) == 0
+        assert '"zero_prob": 0.867}' in out.read_text().splitlines()[0]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -518,3 +539,56 @@ class TestNegativeSeed:
         }[command]
         assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "o.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs in a fresh interpreter, since this one has imported scipy.stats
+# already: every method that needs no scipy distribution, then lognormal.
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+import binconformal
+from binconformal import cli
+
+cal, test, out, report = sys.argv[1:]
+def intervals(method, *extra):
+    return cli.main(["intervals", "--method", method, "--calibration", cal,
+                     "--test", test, "--out", out, "--transform", "log1p",
+                     "--bootstrap-b", "100", *extra])
+codes = [intervals(m) for m in ("scp", "bootstrap", "bootstrap-log", "quantreg")]
+codes += [intervals(m, "--bins", "1") for m in ("bccp-d", "bccp-c")]
+codes.append(cli.main(["evaluate", "--intervals", out, "--truth", cal,
+                       "--out", report]))
+before = "scipy.stats" in sys.modules
+codes.append(intervals("lognormal"))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.stats" in sys.modules}))
+"""
+
+
+def run_fresh(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, **kwargs)
+
+
+class TestFreshProcess:
+    def test_module_runs_as_a_program(self):
+        done = run_fresh(["-m", "binconformal", "--help"])
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: binconformal")
+
+    def test_scipy_stats_loads_only_for_a_method_that_calls_it(self, tmp_path):
+        rng = np.random.default_rng(2)
+        y = np.round(rng.lognormal(1.0, 1.0, size=200))
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  [(i, v, v + 0.5) for i, v in enumerate(y)])
+        write_csv(test, ("row_id", "y_pred"), [(i, v + 0.5) for i, v in enumerate(y)])
+        done = run_fresh(["-c", IMPORT_BUDGET_SCRIPT, str(cal), str(test),
+                          str(tmp_path / "out.csv"), str(tmp_path / "report.csv")])
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0] * 8
+        assert not result["before"], "scipy.stats imported by a method that never calls it"
+        assert result["after"]

@@ -52,5 +52,6 @@ def test_prediction_below_support_is_clamped_and_flagged_on_the_log_scale(kind):
     )
     assert "clamped" in result.flags[0]
     assert "clamped" not in result.flags[1]
+    assert np.nanmin(result.sets.lower) >= 1.0
     if not kind.startswith("bootstrap"):  # each bootstrap row draws anew
         assert result.sets[0] == result.sets[1]
