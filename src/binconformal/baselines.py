@@ -21,8 +21,10 @@ from .models import OutcomeTransform
 
 INF = math.inf
 
-# scipy.stats takes about a second to import and only the parametric
-# intervals call it, so each of them imports its distribution when called
+# the parametric intervals take their quantiles from the scipy.special
+# functions that the scipy.stats distributions call, and load them inside
+# the function that calls them: scipy.stats itself costs about a second
+# and 45 MB at start-up
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,8 @@ def lognormal_interval(y_hat_log: float, sigma_hat: float, alpha: float) -> Pred
     """exp(y_hat_log +/- z_{1-alpha/2} * sigma_hat)."""
     if not sigma_hat > 0:
         raise NumericalError(f"dispersion must be positive, got {sigma_hat}")
-    from scipy.stats import norm
-    z = norm.ppf(1 - alpha / 2)
+    from scipy.special import ndtri
+    z = ndtri(1 - alpha / 2)  # scipy.stats.norm.ppf
     return PredictionInterval(
         math.exp(y_hat_log - z * sigma_hat), math.exp(y_hat_log + z * sigma_hat)
     )
@@ -174,37 +176,58 @@ def residual_sigma(y_true, y_pred, scale: OutcomeTransform = OutcomeTransform.LO
     return float(np.std(pool.residuals, ddof=1))
 
 
-def poisson_intervals(mus, alpha: float) -> IntervalBatch:
-    """Central [alpha/2, 1-alpha/2] Poisson quantile intervals, one per mean."""
-    mus = require_finite(mus, "Poisson means")
+def _count_quantiles(mus, alpha: float, what: str, quantile) -> IntervalBatch:
+    """Central [alpha/2, 1-alpha/2] intervals from ``quantile(q, means)``,
+    the ``_ppf`` of a scipy.stats count distribution; a zero mean gives
+    [0, 0]."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    mus = require_finite(mus, f"{what} means")
     if np.any(mus < 0):
-        raise DataError("Poisson mean must be nonnegative")
+        raise DataError(f"{what} mean must be nonnegative")
     lo = np.zeros_like(mus)
     hi = np.zeros_like(mus)
     positive = mus > 0
     if np.any(positive):
-        from scipy.stats import poisson
-        lo[positive] = poisson.ppf(alpha / 2, mus[positive])
-        hi[positive] = poisson.ppf(1 - alpha / 2, mus[positive])
+        # rv_discrete.ppf returns _ppf(q, ...) + loc for q in (0, 1), and
+        # its loc of 0 turns a -0.0 into 0.0
+        lo[positive] = quantile(alpha / 2, mus[positive]) + 0.0
+        hi[positive] = quantile(1 - alpha / 2, mus[positive]) + 0.0
+        failed = np.isnan(lo) | np.isnan(hi)
+        if np.any(failed):
+            raise NumericalError(
+                f"scipy cannot compute the {what} quantiles of mean "
+                f"{float(mus[failed][0])!r}"
+            )
     return IntervalBatch.from_bounds(lo, hi)
+
+
+def _poisson_ppf(q, mu):
+    """scipy.stats.poisson._ppf: the smallest k with pdtr(k, mu) >= q."""
+    from scipy.special import pdtr, pdtrik
+    v = np.ceil(pdtrik(q, mu))
+    v1 = np.maximum(v - 1, 0)
+    return np.where(pdtr(v1, mu) >= q, v1, v)
+
+
+def poisson_intervals(mus, alpha: float) -> IntervalBatch:
+    """Central [alpha/2, 1-alpha/2] Poisson quantile intervals, one per mean."""
+    return _count_quantiles(mus, alpha, "Poisson", _poisson_ppf)
 
 
 def negbinom_intervals(mus, dispersion: float, alpha: float) -> IntervalBatch:
     """Negative-binomial quantile intervals with variance mu + mu^2/dispersion."""
     if not dispersion > 0:
         raise NumericalError(f"dispersion must be positive, got {dispersion}")
-    mus = require_finite(mus, "negative-binomial means")
-    if np.any(mus < 0):
-        raise DataError("negative-binomial mean must be nonnegative")
-    lo = np.zeros_like(mus)
-    hi = np.zeros_like(mus)
-    positive = mus > 0
-    if np.any(positive):
-        from scipy.stats import nbinom
-        p = dispersion / (dispersion + mus[positive])
-        lo[positive] = nbinom.ppf(alpha / 2, dispersion, p)
-        hi[positive] = nbinom.ppf(1 - alpha / 2, dispersion, p)
-    return IntervalBatch.from_bounds(lo, hi)
+
+    def quantile(q, mu):
+        # scipy.stats.nbinom._ppf; a private name, so the byte-oracle tests
+        # against scipy.stats fail if a scipy release moves or changes it
+        from scipy.special._ufuncs import _nbinom_ppf
+        with np.errstate(over="ignore"):
+            return _nbinom_ppf(q, dispersion, dispersion / (dispersion + mu))
+
+    return _count_quantiles(mus, alpha, "negative-binomial", quantile)
 
 
 def estimate_nb_dispersion(y_true, y_pred) -> float | None:

@@ -137,8 +137,10 @@ def cmd_simulate(args) -> int:
     )
     config = {
         "command": "simulate", "dgp": args.dgp, "n": args.n, "seed": args.seed,
-        "zero_prob": zero_prob, "proportions": list(proportions),
+        "proportions": list(proportions),
     }
+    if args.dgp == "zicount":
+        config["zero_prob"] = zero_prob
     io.write_dataset_csv(args.out, dataset, config)
     return EXIT_OK
 

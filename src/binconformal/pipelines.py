@@ -240,9 +240,10 @@ def _lognormal(inputs):
     sigma = baselines.residual_sigma(inputs.y_true_cal, inputs.y_pred_cal, transform)
     if sigma <= 0:
         raise DataError("calibration residuals have zero dispersion")
-    # scipy.stats takes about a second to import: load it only here
-    from scipy.stats import norm
-    z = float(norm.ppf(1 - inputs.alpha / 2))
+    # ndtri is scipy.stats.norm.ppf without the start-up cost of
+    # scipy.stats; scipy.special too is loaded only here
+    from scipy.special import ndtri
+    z = float(ndtri(1 - inputs.alpha / 2))
     p_t = transform.forward(inputs.y_pred_test)
     batch = _clipped(
         transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma), inputs

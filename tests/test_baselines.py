@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.stats import nbinom, poisson
+from scipy.stats import nbinom, norm, poisson
 
 from binconformal import baselines
 from binconformal.baselines import (
@@ -373,6 +373,95 @@ class TestCountIntervals:
 
     def test_dispersion_underdispersed_falls_back(self):
         assert estimate_nb_dispersion([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) is None
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha must be strictly inside"):
+            poisson_intervals([2.0], alpha)
+        with pytest.raises(ConfigurationError, match="alpha must be strictly inside"):
+            negbinom_intervals([2.0], 1.0, alpha)
+
+    def test_poisson_mean_scipy_cannot_invert_is_numerical_error(self):
+        # pdtrik returns NaN from a mean of about 1e11; 1e10 still works
+        assert np.all(np.isfinite(poisson_intervals([1e10], 0.1).upper))
+        with pytest.raises(NumericalError, match="Poisson quantiles of mean 100000000000.0"):
+            poisson_intervals([3.0, 1e11, 1e12], 0.1)
+
+
+# means of every magnitude the baselines meet, and the edges where scipy's
+# special functions change regime
+ORACLE_MEANS = np.concatenate([
+    np.random.default_rng(17).lognormal(1.0, 2.0, size=2_000),
+    [1e-300, 1e-12, 1e-3, 0.5, 1.0, 1e6, 1e9],
+])
+ORACLE_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9)
+
+
+def assert_same_bytes(batch, lower, upper):
+    assert batch.lower.ravel().tobytes() == lower.tobytes()
+    assert batch.upper.ravel().tobytes() == upper.tobytes()
+
+
+class TestScipyStatsOracle:
+    """The parametric baselines take their quantiles from scipy.special;
+    scipy.stats' ppf, which calls the same functions through its argument
+    checks, is the reference, byte for byte. The negative binomial calls
+    the private ``scipy.special._ufuncs._nbinom_ppf``, so a scipy release
+    that moves or changes it fails here rather than changing any output."""
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_poisson(self, alpha):
+        assert_same_bytes(poisson_intervals(ORACLE_MEANS, alpha),
+                          poisson.ppf(alpha / 2, ORACLE_MEANS),
+                          poisson.ppf(1 - alpha / 2, ORACLE_MEANS))
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    @pytest.mark.parametrize("k", [1e-3, 0.05, 0.37, 1.0, 2.5, 30.0])
+    def test_negbinom(self, alpha, k):
+        p = k / (k + ORACLE_MEANS)
+        assert_same_bytes(negbinom_intervals(ORACLE_MEANS, k, alpha),
+                          nbinom.ppf(alpha / 2, k, p), nbinom.ppf(1 - alpha / 2, k, p))
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0])
+    def test_poisson_tail_probability_equal_to_a_cdf_value(self, mu):
+        # q = alpha/2 = P(Y = 0): ceil(pdtrik(q, mu)) can land one above the
+        # quantile (it does at mu = 1), and the pdtr check steps it back to 0
+        alpha = 2 * math.exp(-mu)
+        got = poisson_intervals([mu], alpha)
+        assert got.lower[0, 0] == 0.0
+        assert_same_bytes(got, poisson.ppf(alpha / 2, [mu]),
+                          poisson.ppf(1 - alpha / 2, [mu]))
+
+    def test_negbinom_mean_whose_success_probability_rounds_to_one(self):
+        k, mu = 30.0, np.array([1e-20])
+        p = k / (k + mu)
+        assert p[0] == 1.0
+        assert_same_bytes(negbinom_intervals(mu, k, 0.1),
+                          nbinom.ppf(0.05, k, p), nbinom.ppf(0.95, k, p))
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_lognormal_interval(self, alpha):
+        z = norm.ppf(1 - alpha / 2)
+        for y_hat_log, sigma in ((0.0, 1.0), (1.3, 0.7), (-4.2, 1e-9), (9.5, 2.25)):
+            iv = lognormal_interval(y_hat_log, sigma, alpha)
+            assert iv.lower == math.exp(y_hat_log - z * sigma)
+            assert iv.upper == math.exp(y_hat_log + z * sigma)
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    @pytest.mark.parametrize("transform", [LOG, LOG1P])
+    def test_lognormal_builder(self, alpha, transform):
+        rng = np.random.default_rng(4)
+        y_cal = np.round(rng.lognormal(1.0, 1.0, size=300)) + 1.0
+        p_cal = y_cal * rng.lognormal(0.0, 0.5, size=300)
+        p_test = ORACLE_MEANS
+        got = make_intervals("lognormal", y_cal, p_cal, p_test, alpha=alpha,
+                             transform=transform).sets
+        sigma = residual_sigma(y_cal, p_cal, transform)
+        z = float(norm.ppf(1 - alpha / 2))
+        p_t = transform.forward(p_test)
+        floor = transform.support_min
+        assert_same_bytes(got, np.maximum(floor, transform.inverse(p_t - z * sigma)),
+                          np.maximum(floor, transform.inverse(p_t + z * sigma)))
 
 
 def refined_grid_min(X, y, tau, center, span, stages=3, points=81):

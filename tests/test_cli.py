@@ -120,6 +120,15 @@ class TestSimulate:
         ]) == 0
         assert '"zero_prob": 0.867}' in out.read_text().splitlines()[0]
 
+    def test_lognormal_config_has_no_zero_prob(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--dgp", "lognormal", "--n", "100", "--out", str(out),
+        ]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header.startswith("# config: ")
+        assert "zero_prob" not in json.loads(header[len("# config: "):])
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["simulate", "--dgp", "lognormal", "--n", "500", "--seed", "11"]
@@ -295,6 +304,22 @@ class TestIntervalsCommand:
             "--test", str(test), "--out", str(tmp_path / "iv.csv"),
         ]) == 3
         assert "duplicate row_id 'a'" in capsys.readouterr().err
+
+    def test_poisson_mean_scipy_cannot_invert_is_numerical_error(
+        self, two_bin_files, tmp_path, capsys
+    ):
+        cal, _ = two_bin_files
+        test = tmp_path / "huge.csv"
+        write_csv(test, ("row_id", "y_pred"), [("a", 9.5), ("b", 1e11)])
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", "poisson", "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "numerical error: scipy cannot compute the Poisson quantiles" in err
+        assert "mean 100000000000.0" in err
+        assert not out.exists()
 
     def test_same_seed_byte_identical(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
@@ -544,7 +569,9 @@ class TestNegativeSeed:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs in a fresh interpreter, since this one has imported scipy.stats
-# already: every method that needs no scipy distribution, then lognormal.
+# already. After each step it records whether scipy.stats and scipy.special
+# are loaded: first every method that needs no scipy function and one
+# evaluate, then the parametric methods and a report.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 import binconformal
@@ -555,15 +582,23 @@ def intervals(method, *extra):
     return cli.main(["intervals", "--method", method, "--calibration", cal,
                      "--test", test, "--out", out, "--transform", "log1p",
                      "--bootstrap-b", "100", *extra])
-codes = [intervals(m) for m in ("scp", "bootstrap", "bootstrap-log", "quantreg")]
-codes += [intervals(m, "--bins", "1") for m in ("bccp-d", "bccp-c")]
-codes.append(cli.main(["evaluate", "--intervals", out, "--truth", cal,
-                       "--out", report]))
-before = "scipy.stats" in sys.modules
-codes.append(intervals("lognormal"))
-print(json.dumps({"codes": codes, "before": before,
-                  "after": "scipy.stats" in sys.modules}))
+steps = [(m, lambda m=m: intervals(m))
+         for m in ("scp", "bootstrap", "bootstrap-log", "quantreg")]
+steps += [(m, lambda m=m: intervals(m, "--bins", "1")) for m in ("bccp-d", "bccp-c")]
+steps.append(("evaluate", lambda: cli.main(["evaluate", "--intervals", out,
+                                            "--truth", cal, "--out", report])))
+steps += [(m, lambda m=m: intervals(m)) for m in ("lognormal", "poisson", "negbinom")]
+steps.append(("report", lambda: cli.main(["report", "--study", "lognormal",
+                                          "--replications", "1", "--n", "400",
+                                          "--out", report])))
+trace = []
+for name, run in steps:
+    code = run()
+    trace.append([name, code, "scipy.stats" in sys.modules,
+                  "scipy.special" in sys.modules])
+print(json.dumps(trace))
 """
+PARAMETRIC = ("lognormal", "poisson", "negbinom", "report")
 
 
 def run_fresh(args, **kwargs):
@@ -588,7 +623,11 @@ class TestFreshProcess:
         done = run_fresh(["-c", IMPORT_BUDGET_SCRIPT, str(cal), str(test),
                           str(tmp_path / "out.csv"), str(tmp_path / "report.csv")])
         assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout)
-        assert result["codes"] == [0] * 8
-        assert not result["before"], "scipy.stats imported by a method that never calls it"
-        assert result["after"]
+        trace = json.loads(done.stdout)
+        assert [t[0] for t in trace][-len(PARAMETRIC):] == list(PARAMETRIC)
+        for name, code, stats_loaded, special_loaded in trace:
+            assert code == 0, name
+            # no method calls scipy.stats; scipy.special arrives with the
+            # first parametric method
+            assert not stats_loaded, f"scipy.stats imported by {name}"
+            assert special_loaded == (name in PARAMETRIC), name
