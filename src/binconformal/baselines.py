@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import require_finite
+from .conformal import _validate_alpha, require_finite
 from .errors import ConfigurationError, DataError, NumericalError
 from .intervals import IntervalBatch, PredictionInterval
-from .models import OutcomeTransform
+from .models import OutcomeTransform, design_matrix, linear_predict
 
 INF = math.inf
 
@@ -119,8 +119,7 @@ def bootstrap_intervals(
         raise DataError("residual pool holds NaN or infinite values")
     if n_draws < 100:
         raise ConfigurationError(f"bootstrap needs at least 100 draws, got {n_draws}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    alpha = _validate_alpha(alpha)
     y_hats = require_finite(y_hats, "bootstrap predictions")
     rng = _as_rng(rng)
     order = np.argsort(res, kind="stable")
@@ -180,8 +179,7 @@ def _count_quantiles(mus, alpha: float, what: str, quantile) -> IntervalBatch:
     """Central [alpha/2, 1-alpha/2] intervals from ``quantile(q, means)``,
     the ``_ppf`` of a scipy.stats count distribution; a zero mean gives
     [0, 0]."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    alpha = _validate_alpha(alpha)
     mus = require_finite(mus, f"{what} means")
     if np.any(mus < 0):
         raise DataError(f"{what} mean must be nonnegative")
@@ -265,15 +263,11 @@ class QuantRegFit:
     tau: float
     coefficients: np.ndarray
     iterations: int
-    converged: bool
     loss: float
 
     def predict(self, x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        X = np.column_stack([np.ones(1 if single else arr.shape[0]),
-                             arr[None, :] if single else arr])
-        out = X @ self.coefficients
+        """Prediction for one feature vector (a float) or a feature matrix."""
+        out, single = linear_predict(self.coefficients, x)
         return float(out[0]) if single else out
 
 
@@ -285,20 +279,20 @@ class QuantRegModel:
     upper: QuantRegFit
 
 
-def quantreg_fit(
-    features,
-    y,
-    tau: float,
-    max_iter: int = 5000,
-    tol: float = 1e-8,
-    eps: float = 1e-6,
-    plateau_window: int = 100,
-) -> QuantRegFit:
+# IRLS settings: iteration cap, coefficient-change tolerance, pinball
+# weight floor, and the plateau length that counts as converged
+_MAX_ITER = 5000
+_TOL = 1e-8
+_EPS = 1e-6
+_PLATEAU = 100
+
+
+def quantreg_fit(features, y, tau: float) -> QuantRegFit:
     """Fit one conditional tau-quantile by iteratively reweighted least
     squares with epsilon-smoothed pinball weights.
 
-    Converges when the coefficient change drops below ``tol``, or when the
-    pinball loss has stopped improving for ``plateau_window`` consecutive
+    Converges when the coefficient change drops below ``_TOL``, or when the
+    pinball loss has stopped improving for ``_PLATEAU`` consecutive
     iterations: near the optimum the smoothed fixed-point drift can decay
     too slowly for the coefficient test even though the objective is flat
     to machine precision.
@@ -306,15 +300,12 @@ def quantreg_fit(
     Raises
     ------
     NumericalError
-        Neither convergence test fired within ``max_iter`` iterations (the
+        Neither convergence test fired within ``_MAX_ITER`` iterations (the
         error message carries diagnostics).
     """
     if not 0.0 < tau < 1.0:
         raise ConfigurationError(f"tau must be strictly inside (0, 1), got {tau}")
-    X = np.asarray(features, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    X = np.column_stack([np.ones(X.shape[0]), X])
+    X = design_matrix(features)
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size != X.shape[0]:
         raise DataError(f"feature rows ({X.shape[0]}) and outcomes ({yv.size}) differ")
@@ -325,7 +316,7 @@ def quantreg_fit(
     change = INF
     best_loss = INF
     stalled = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         u = yv - X @ beta
         loss = pinball_loss(u, tau)
         if loss < best_loss - 1e-12 * (1.0 + abs(loss)):
@@ -333,28 +324,27 @@ def quantreg_fit(
             stalled = 0
         else:
             stalled += 1
-        weights = np.abs(tau - (u < 0)) / np.maximum(np.abs(u), eps)
+        weights = np.abs(tau - (u < 0)) / np.maximum(np.abs(u), _EPS)
         w_sqrt = np.sqrt(weights)
         beta_new, *_ = np.linalg.lstsq(X * w_sqrt[:, None], yv * w_sqrt, rcond=None)
         change = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
-        if change < tol or stalled >= plateau_window:
+        if change < _TOL or stalled >= _PLATEAU:
             return QuantRegFit(
-                tau=tau, coefficients=beta, iterations=iteration, converged=True,
+                tau=tau, coefficients=beta, iterations=iteration,
                 loss=pinball_loss(yv - X @ beta, tau),
             )
     raise NumericalError(
         f"quantile regression (tau={tau}) did not converge: last coefficient "
-        f"change {change:.3e} after {max_iter} iterations "
+        f"change {change:.3e} after {_MAX_ITER} iterations "
         f"(loss {pinball_loss(yv - X @ beta, tau):.6g})"
     )
 
 
-def quantreg_pair(features, y, alpha: float, **kwargs) -> QuantRegModel:
+def quantreg_pair(features, y, alpha: float) -> QuantRegModel:
     """Fit the (alpha/2, 1 - alpha/2) quantile pair for interval prediction."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    alpha = _validate_alpha(alpha)
     return QuantRegModel(
-        lower=quantreg_fit(features, y, alpha / 2, **kwargs),
-        upper=quantreg_fit(features, y, 1 - alpha / 2, **kwargs),
+        lower=quantreg_fit(features, y, alpha / 2),
+        upper=quantreg_fit(features, y, 1 - alpha / 2),
     )

@@ -18,22 +18,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import io
-from .errors import (
-    BinConformalError,
-    ConfigurationError,
-    DataError,
-    NumericalError,
-)
+from .conformal import _validate_alpha
+from .errors import BinConformalError, ConfigurationError, DataError
 from .evaluation import AGGREGATE, QUARTILES, STUDIES, coverage, run_replications
 from .intervals import bins_from_spec
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
 from .simulation import STREAM_METHOD, generate, split
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
 
 
 def _parse_proportions(text: str) -> tuple:
@@ -46,12 +37,6 @@ def _parse_proportions(text: str) -> tuple:
         return tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigurationError(f"cannot parse proportions {text!r}") from None
-
-
-def _parse_alpha(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise ConfigurationError(f"--alpha must be strictly inside (0, 1), got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,11 +127,11 @@ def cmd_simulate(args) -> int:
     if args.dgp == "zicount":
         config["zero_prob"] = zero_prob
     io.write_dataset_csv(args.out, dataset, config)
-    return EXIT_OK
+    return 0
 
 
 def cmd_intervals(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = _validate_alpha(args.alpha)
     if args.grid_resolution < 2:
         raise ConfigurationError(
             f"--grid-resolution must be at least 2, got {args.grid_resolution}"
@@ -178,7 +163,7 @@ def cmd_intervals(args) -> int:
         "grid_resolution": args.grid_resolution,
     }
     io.write_intervals_csv(args.out, test_ids, result.sets, result.flags, config)
-    return EXIT_OK
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -228,14 +213,14 @@ def cmd_evaluate(args) -> int:
     io.write_report_rows_csv(args.out, rows, config)
     if args.widths_out:
         io.write_widths_csv(args.widths_out, order, y_true, intervals, config)
-    return EXIT_OK
+    return 0
 
 
 def cmd_report(args) -> int:
     if args.zero_prob is not None and args.study != "zicount":
         raise ConfigurationError("--zero-prob only applies to the zicount study")
     if args.alpha is not None:
-        _parse_alpha(args.alpha)
+        _validate_alpha(args.alpha)
     overrides = {
         "replications": args.replications, "base_seed": args.seed, "n": args.n,
         "alpha": args.alpha, "zero_prob": args.zero_prob,
@@ -258,7 +243,7 @@ def cmd_report(args) -> int:
         config = replace(config, bootstrap_draws=args.bootstrap_b)
     report = run_replications(config)
     io.write_report_csv(args.out, report)
-    return EXIT_OK
+    return 0
 
 
 COMMANDS = {
@@ -277,21 +262,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BinConformalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return 3
 
 
 def entrypoint() -> None:

@@ -63,10 +63,14 @@ def _read_table(path, columns):
     Blank lines and lines whose first field starts with '#' are skipped;
     the first remaining record is the header. A name that appears twice
     indexes its last occurrence. Every record must have a field for each
-    of ``columns``.
+    of ``columns``. Bytes that are not UTF-8, or a field past the csv
+    module's size limit, raise DataError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = [r for r in csv.reader(fh) if r and r[0][:1] != "#"]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = [r for r in csv.reader(fh) if r and r[0][:1] != "#"]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
     if not records:
         raise DataError(f"{path}: empty file, expected header {list(columns)}")
     header = [h.strip() for h in records[0]]
@@ -251,8 +255,9 @@ def read_intervals_csv(path):
     return row_ids, dict(zip(row_ids, batch)), dict(zip(row_ids, flags))
 
 
-def write_report_csv(path, report, config=None):
-    """Serialize a CoverageReport (one row per method x group)."""
+def write_report_csv(path, report):
+    """Serialize a CoverageReport (one row per method x group) under its
+    config."""
     rows = [
         (
             method, group, s.n, s.coverage, s.coverage_se,
@@ -261,7 +266,7 @@ def write_report_csv(path, report, config=None):
         for method in report.methods for group in report.groups
         if (s := report.stats.get((method, group))) is not None
     ]
-    write_report_rows_csv(path, rows, config or report.config)
+    write_report_rows_csv(path, rows, report.config)
 
 
 def write_report_rows_csv(path, rows, config=None):

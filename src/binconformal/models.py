@@ -68,11 +68,25 @@ class LinearModel:
     transform: OutcomeTransform
 
 
-def _design(features) -> np.ndarray:
+def design_matrix(features) -> np.ndarray:
+    """Intercept column, then the features; a 1-D input is one feature."""
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def linear_predict(coefficients, x) -> tuple:
+    """(design @ coefficients, whether ``x`` was one row); a 1-D input is
+    one row. DataError unless ``x`` has one feature per slope."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    X = design_matrix(arr[None, :] if single else arr)
+    if X.shape[1] != len(coefficients):
+        raise DataError(
+            f"expected {len(coefficients) - 1} features, got {X.shape[1] - 1}"
+        )
+    return X @ coefficients, single
 
 
 def ols_fit(features, y, transform: OutcomeTransform = OutcomeTransform.IDENTITY) -> LinearModel:
@@ -85,7 +99,7 @@ def ols_fit(features, y, transform: OutcomeTransform = OutcomeTransform.IDENTITY
     NumericalError
         Rank-deficient design matrix.
     """
-    X = _design(features)
+    X = design_matrix(features)
     z = transform.forward(np.asarray(y, dtype=float))
     n, p = X.shape
     if len(z) != n:
@@ -104,14 +118,7 @@ def predict(model: LinearModel, x) -> tuple:
     Returns (transformed-scale prediction, raw-scale prediction); the raw
     value applies the inverse transform, with log1p clamped at 0.
     """
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    X = _design(arr[None, :] if single else arr)
-    if X.shape[1] != len(model.coefficients):
-        raise DataError(
-            f"expected {len(model.coefficients) - 1} features, got {X.shape[1] - 1}"
-        )
-    z_hat = X @ model.coefficients
+    z_hat, single = linear_predict(model.coefficients, x)
     y_hat = model.transform.inverse(z_hat)
     if single:
         return float(z_hat[0]), float(y_hat[0])

@@ -59,8 +59,8 @@ class Dataset:
         return self.features[mask], self.y[mask]
 
 
-def lognormal_dgp(n: int, seed=0, sigma: float = 0.5) -> Dataset:
-    """Two uniform features; y = exp(Normal(x1 + x2, sigma)).
+def lognormal_dgp(n: int, seed=0) -> Dataset:
+    """Two uniform features; y = exp(Normal(x1 + x2, 0.5)).
 
     Heavily right-skewed with many near-zero outcomes.
     """
@@ -68,23 +68,18 @@ def lognormal_dgp(n: int, seed=0, sigma: float = 0.5) -> Dataset:
         raise ConfigurationError(f"n must be positive, got {n}")
     rng = derive_rng(seed, STREAM_DGP)
     features = rng.uniform(size=(n, 2))
-    y = np.exp(rng.normal(features[:, 0] + features[:, 1], sigma))
+    y = np.exp(rng.normal(features[:, 0] + features[:, 1], 0.5))
     return Dataset(features=features, y=y)
 
 
-def zero_inflated_count_dgp(
-    n: int,
-    zero_prob: float = 0.867,
-    seed=0,
-    mean_coefs: tuple = (2.0, 2.0),
-    log_sigma: float = 1.0,
-) -> Dataset:
+def zero_inflated_count_dgp(n: int, zero_prob: float = 0.867, seed=0) -> Dataset:
     """Zero-inflated counts with a heavy right tail.
 
-    With probability ``zero_prob`` the outcome is 0; otherwise it is a
-    rounded log-normal count, clamped at 1 so the zero fraction is exactly
-    Bernoulli(zero_prob). Features are generated for every row, so the
-    point model has signal on the count component.
+    With probability ``zero_prob`` the outcome is 0; otherwise it is the
+    rounded log-normal count exp(Normal(2 x1 + 2 x2, 1)), clamped at 1 so
+    the zero fraction is exactly Bernoulli(zero_prob). Features are
+    generated for every row, so the point model has signal on the count
+    component.
     """
     if n < 1:
         raise ConfigurationError(f"n must be positive, got {n}")
@@ -93,8 +88,8 @@ def zero_inflated_count_dgp(
     rng = derive_rng(seed, STREAM_DGP)
     features = rng.uniform(size=(n, 2))
     is_zero = rng.random(n) < zero_prob
-    mu = mean_coefs[0] * features[:, 0] + mean_coefs[1] * features[:, 1]
-    counts = np.maximum(1.0, np.rint(np.exp(rng.normal(mu, log_sigma))))
+    mu = 2.0 * features[:, 0] + 2.0 * features[:, 1]
+    counts = np.maximum(1.0, np.rint(np.exp(rng.normal(mu, 1.0))))
     y = np.where(is_zero, 0.0, counts)
     return Dataset(features=features, y=y)
 

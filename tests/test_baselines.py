@@ -25,7 +25,7 @@ from binconformal.baselines import (
 )
 from binconformal.errors import ConfigurationError, DataError, NumericalError
 from binconformal.intervals import PredictionInterval
-from binconformal.models import OutcomeTransform
+from binconformal.models import LinearModel, OutcomeTransform, predict
 from binconformal.pipelines import make_intervals
 
 IDENTITY = OutcomeTransform.IDENTITY
@@ -516,8 +516,8 @@ class TestQuantReg:
             assert fit.loss <= pinball_loss(y, tau) + 1e-12
 
     def test_crossed_quantiles_swapped(self, monkeypatch):
-        lower = QuantRegFit(0.05, np.array([5.0]), 1, True, 0.0)
-        upper = QuantRegFit(0.95, np.array([3.0]), 1, True, 0.0)
+        lower = QuantRegFit(0.05, np.array([5.0]), 1, 0.0)
+        upper = QuantRegFit(0.95, np.array([3.0]), 1, 0.0)
         model = QuantRegModel(lower=lower, upper=upper)
         x = np.empty((0,))
         lo, hi = model.lower.predict(x), model.upper.predict(x)
@@ -532,12 +532,25 @@ class TestQuantReg:
         assert result.sets[0].segments[0] == PredictionInterval(3.0, 5.0)
         assert result.flags == [("crossed",)]
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = rng.normal(size=50)
         y = x + rng.normal(size=50)
+        monkeypatch.setattr(baselines, "_MAX_ITER", 1)
+        monkeypatch.setattr(baselines, "_TOL", 0.0)
         with pytest.raises(NumericalError, match="did not converge"):
-            quantreg_fit(x, y, 0.5, max_iter=1, tol=0.0)
+            quantreg_fit(x, y, 0.5)
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3))], ids=["row", "matrix"])
+    def test_feature_count_mismatch_is_data_error(self, x):
+        # one slope coefficient, three features: 1-D is one row, 2-D is four
+        coefficients = np.array([1.0, 2.0])
+        fit = QuantRegFit(0.5, coefficients, 1, 0.0)
+        with pytest.raises(DataError, match="expected 1 features, got 3"):
+            fit.predict(x)
+        model = LinearModel(coefficients, OutcomeTransform.IDENTITY)
+        with pytest.raises(DataError, match="expected 1 features, got 3"):
+            predict(model, x)
 
     def test_tau_out_of_range(self):
         with pytest.raises(ConfigurationError):

@@ -31,6 +31,15 @@ def read_table(path):
     return header, [dict(zip(header, r)) for r in body]
 
 
+# (bytes after the header, expected text of the error): a byte that is not
+# UTF-8, and a field past the csv module's default 131,072-character limit
+MALFORMED_CSV = [
+    pytest.param(b"a,1.0,\xff\n", "can't decode byte 0xff", id="not-utf8"),
+    pytest.param(b"a," + b"1" * 140_000 + b",1.0\n",
+                 "field larger than field limit", id="oversized-field"),
+]
+
+
 @pytest.fixture
 def two_bin_files(tmp_path):
     """Calibration realizing per-bin quantiles 0.2 (below 10) and 5 (above)."""
@@ -243,6 +252,20 @@ class TestIntervalsCommand:
         ]) == 3
         err = capsys.readouterr().err
         assert f"short-{which}.csv: {message}" in err
+
+    @pytest.mark.parametrize("data, message", MALFORMED_CSV)
+    def test_malformed_calibration_is_data_error(self, two_bin_files, tmp_path,
+                                                 capsys, data, message):
+        _, test = two_bin_files
+        cal = tmp_path / "bad-cal.csv"
+        cal.write_bytes(b"row_id,y_true,y_pred\n" + data)
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(tmp_path / "iv.csv"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {cal}: not a readable UTF-8 CSV file")
+        assert message in err
 
     def test_short_optional_truth_column_is_not_read(self, two_bin_files, tmp_path):
         cal, _ = two_bin_files
@@ -489,6 +512,17 @@ class TestEvaluateCommand:
             fh.write(line + "\n")
         assert self.evaluate(tmp_path, files["intervals"], files["truth"]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", MALFORMED_CSV)
+    def test_malformed_interval_file_is_data_error(self, tmp_path, capsys,
+                                                   data, message):
+        iv = tmp_path / "bad-iv.csv"
+        iv.write_bytes(b"row_id,segment_index,lower,upper,flags\n" + data)
+        truth = self.write_truth(tmp_path, [("a", 0.5)])
+        assert self.evaluate(tmp_path, iv, truth) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {iv}: not a readable UTF-8 CSV file")
+        assert message in err
 
     @pytest.mark.parametrize("group", ["none", "quartiles"])
     def test_bins_without_group_bins_is_config_error(self, tmp_path, capsys, group):
