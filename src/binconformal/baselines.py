@@ -9,7 +9,6 @@ the same harness.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .conformal import _validate_alpha, require_finite
 from .errors import ConfigurationError, DataError, NumericalError
 from .intervals import IntervalBatch, PredictionInterval
 from .models import OutcomeTransform, design_matrix, linear_predict
+from .simulation import derive_rng
 
 INF = math.inf
 
@@ -51,14 +51,13 @@ def residual_pool(
 
 
 def _as_rng(rng) -> np.random.Generator:
+    """``rng`` itself if it is a generator, a fresh one for None, else
+    the generator :func:`derive_rng` seeds from it."""
     if isinstance(rng, np.random.Generator):
         return rng
-    try:
-        return np.random.default_rng(rng)
-    except ValueError:
-        raise ConfigurationError(
-            f"seeds must be non-negative integers, got {rng!r}"
-        ) from None
+    if rng is None:
+        return np.random.default_rng()
+    return derive_rng(rng)
 
 
 # bytes of one block's draws: 65 rows at 2,000 draws, so that the block's
@@ -71,28 +70,12 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _block_bounds(out, y_hats, idx, rank, sorted_res, cols, gamma):
-    """``np.quantile(y_hats[:, None] - res[idx], q, axis=1)`` into ``out``
-    from the sorted ranks of the draws; ``cols`` and ``gamma`` are the
-    columns and weights of numpy's linear method, counted from the top."""
-    r = rank[idx]
-    r.sort(axis=1)
-    # fl(y - x) never increases with x, so the j-th smallest simulated
-    # outcome of a row is y minus its (B-1-j)-th smallest drawn residual
-    a, b = (y_hats - sorted_res[r[:, c]].T for c in cols)
-    # numpy's _lerp, operation for operation, so the bytes match
-    diff = b - a
-    np.add(a, diff * gamma, out=out)
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-
-
 def bootstrap_intervals(
     y_hats,
     pool: ResidualPool,
     alpha: float,
     n_draws: int = 2000,
     rng=None,
-    support_min: float = -INF,
 ) -> IntervalBatch:
     """Bootstrap intervals for many predictions sharing one residual pool.
 
@@ -101,16 +84,15 @@ def bootstrap_intervals(
     reverse-percentile form, which reflects skew in the error pool); the
     interval is the empirical [alpha/2, 1 - alpha/2] quantile range of the
     simulated outcomes (numpy's default linear method), back-transformed
-    to the raw scale and clamped at ``support_min``. For symmetric pools
-    this coincides with adding the residuals.
+    to the raw scale. For symmetric pools this coincides with adding the
+    residuals.
 
-    Rows are processed in blocks of about 1 MB of draws. The calling
-    thread draws each block's indices from ``rng`` in row order, which
-    yields the same integers as one (n, n_draws) draw, while one worker
-    thread takes the previous block's quantiles from the sorted ranks of
-    its draws. A row's bounds depend only on its own draws, so the result
-    does not depend on the block size, and memory stays O(block) instead
-    of O(n).
+    Rows are processed in blocks of about 1 MB of draws. Each block's
+    indices are drawn from ``rng`` in row order, which yields the same
+    integers as one (n, n_draws) draw, and its quantiles are taken from
+    the sorted ranks of its draws. A row's bounds depend only on its own
+    draws, so the result does not depend on the block size, and memory
+    stays O(block) instead of O(n).
     """
     res = pool.residuals
     if res.size == 0:
@@ -135,21 +117,21 @@ def bootstrap_intervals(
     cols = (top, np.maximum(top - 1, 0))
     bounds = np.empty((2, y_hats.size))
     rows = _block_rows(n_draws)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        # at most two blocks alive: one in the worker, one being drawn
-        pending = None
-        for start in range(0, y_hats.size, rows):
-            block = slice(start, start + rows)
-            idx = rng.integers(0, res.size, size=(y_hats[block].size, n_draws))
-            if pending is not None:
-                pending.result()
-            pending = worker.submit(_block_bounds, bounds[:, block], y_hats[block],
-                                    idx, rank, sorted_res, cols, gamma)
-        if pending is not None:
-            pending.result()
-    lo = np.maximum(support_min, pool.scale.inverse(bounds[0]))
-    hi = np.maximum(support_min, pool.scale.inverse(bounds[1]))
-    return IntervalBatch.from_bounds(lo, hi)
+    for start in range(0, y_hats.size, rows):
+        block = slice(start, start + rows)
+        r = rank[rng.integers(0, res.size, size=(y_hats[block].size, n_draws))]
+        r.sort(axis=1)
+        # fl(y - x) never increases with x, so the j-th smallest simulated
+        # outcome of a row is y minus its (B-1-j)-th smallest drawn residual
+        a, b = (y_hats[block] - sorted_res[r[:, c]].T for c in cols)
+        # numpy's _lerp, operation for operation, so the bytes match
+        diff = b - a
+        out = bounds[:, block]
+        np.add(a, diff * gamma, out=out)
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return IntervalBatch.from_bounds(
+        pool.scale.inverse(bounds[0]), pool.scale.inverse(bounds[1])
+    )
 
 
 # ---------------------------------------------------------------------------

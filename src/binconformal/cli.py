@@ -24,7 +24,7 @@ from .evaluation import AGGREGATE, QUARTILES, STUDIES, coverage, run_replication
 from .intervals import bins_from_spec
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
-from .simulation import STREAM_METHOD, generate, split
+from .simulation import STREAM_METHOD, derive_rng, generate, split
 
 
 def _parse_proportions(text: str) -> tuple:
@@ -137,6 +137,7 @@ def cmd_intervals(args) -> int:
             f"--grid-resolution must be at least 2, got {args.grid_resolution}"
         )
     transform = OutcomeTransform(args.transform)
+    rng = derive_rng(args.seed, STREAM_METHOD, 0)
     _, y_true_cal, y_pred_cal = io.read_calibration_csv(args.calibration)
     test_ids, y_pred_test = io.read_test_csv(args.test)
     bins = None if args.bins is None else bins_from_spec(
@@ -151,7 +152,7 @@ def cmd_intervals(args) -> int:
         round_counts=args.round_counts,
         allow_empty_bins=args.allow_empty_bins,
         n_draws=args.bootstrap_b,
-        rng=(args.seed, STREAM_METHOD, 0),
+        rng=rng,
     )
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .intervals import (
 )
 from .models import OutcomeTransform, ols_fit, predict
 from .pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
-from .simulation import CALIBRATION, STREAM_METHOD, TEST, TRAIN, generate, split
+from .simulation import CALIBRATION, STREAM_METHOD, TEST, TRAIN, derive_rng, generate, split
 
 AGGREGATE = "aggregate"
 QUARTILES = "quartiles"
@@ -234,7 +234,7 @@ def _run_replicate(config: StudyConfig, rep: int) -> dict:
             bins=bins,
             round_counts=config.round_counts,
             n_draws=config.bootstrap_draws,
-            rng=(seed, STREAM_METHOD, index),
+            rng=derive_rng(seed, STREAM_METHOD, index),
             support_min=config.support_min,
             quantreg_design=(
                 (X_train, y_train, X_test) if spec.kind == "quantreg" else None

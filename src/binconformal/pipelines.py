@@ -216,8 +216,7 @@ def _log_scale(inputs, method):
 
 
 def _clipped(lower, upper, inputs):
-    """One segment per row, both endpoints raised to ``support_min`` as
-    the bootstraps raise theirs."""
+    """One segment per row, both endpoints raised to ``support_min``."""
     floor = inputs.support_min
     return IntervalBatch.from_bounds(np.maximum(floor, lower), np.maximum(floor, upper))
 
@@ -226,9 +225,9 @@ def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
     pool = baselines.residual_pool(inputs.y_true_cal, inputs.y_pred_cal, scale)
     batch = baselines.bootstrap_intervals(
         scale.forward(inputs.y_pred_test), pool, inputs.alpha,
-        n_draws=inputs.n_draws, rng=inputs.rng, support_min=inputs.support_min,
+        n_draws=inputs.n_draws, rng=inputs.rng,
     )
-    return batch, (), False
+    return _clipped(batch.lower, batch.upper, inputs), (), False
 
 
 def _bootstrap_log(inputs):

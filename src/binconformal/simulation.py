@@ -8,6 +8,7 @@ way.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ def derive_rng(seed, *stream: int) -> np.random.Generator:
     """
     parts = list(seed) if isinstance(seed, (tuple, list)) else [seed]
     try:
-        return np.random.default_rng([*map(int, parts), *map(int, stream)])
-    except ValueError:
+        return np.random.default_rng([*map(operator.index, parts), *stream])
+    except (TypeError, ValueError):
         raise ConfigurationError(
             f"seeds must be non-negative integers, got {seed!r}"
         ) from None

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -74,10 +75,12 @@ class TestBootstrap:
         assert iv.upper == pytest.approx(1.0, abs=1e-9)
 
     def test_clamped_at_support(self):
-        pool = ResidualPool(np.array([-5.0, 5.0] * 50))
-        iv = bootstrap_intervals([1.0], pool, alpha=0.5, n_draws=2000, rng=1,
-                                 support_min=0.0)[0].segments[0]
-        assert iv.lower == 0.0
+        # residuals of +-5 around 10, so the raw interval at 1.0 is [-4, 6]
+        y_pred = np.full(100, 10.0)
+        y_true = y_pred + np.array([-5.0, 5.0] * 50)
+        result = make_intervals("bootstrap", y_true, y_pred, [1.0], alpha=0.5,
+                                n_draws=2000, rng=1, support_min=0.0)
+        assert result.sets[0].segments[0].lower == 0.0
 
     def test_endpoints_stable_under_doubling_draws(self):
         rng = np.random.default_rng(55)
@@ -115,20 +118,23 @@ class TestBootstrap:
         with pytest.raises(DataError, match="bootstrap predictions must be finite"):
             bootstrap_intervals([bad, 1.0], ResidualPool(np.ones(5)), 0.1)
 
+    @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, ((3, 4), 2)])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seeds must be non-negative integers"):
+            bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, rng=seed)
+
     def test_too_few_draws_rejected(self):
         with pytest.raises(ConfigurationError):
             bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, n_draws=50)
 
 
-def one_shot_bootstrap(y_hats, pool, alpha, n_draws, rng, support_min):
+def one_shot_bootstrap(y_hats, pool, alpha, n_draws, rng):
     """The whole-batch bootstrap: one (n, n_draws) draw, one quantile call."""
     res = pool.residuals
     y_hats = np.asarray(y_hats, dtype=float).ravel()
     idx = np.random.default_rng(rng).integers(0, res.size, size=(y_hats.size, n_draws))
     lo, hi = np.quantile(y_hats[:, None] - res[idx], [alpha / 2, 1 - alpha / 2], axis=1)
-    lo = np.maximum(support_min, pool.scale.inverse(lo))
-    hi = np.maximum(support_min, pool.scale.inverse(hi))
-    return lo, hi
+    return pool.scale.inverse(lo), pool.scale.inverse(hi)
 
 
 def assert_same_bytes(batch, lo, hi):
@@ -161,21 +167,17 @@ class TestBootstrapBlocks:
             residuals = np.zeros(1) if size == 1 else data.normal(size=size)
             for scale in (IDENTITY, LOG, LOG1P):
                 pool = ResidualPool(residuals, scale)
-                for support_min in (0.5, -math.inf):
-                    got = bootstrap_intervals(y, pool, 0.1, n_draws, rng=n,
-                                              support_min=support_min)
-                    assert_same_bytes(
-                        got, *one_shot_bootstrap(y, pool, 0.1, n_draws, n, support_min)
-                    )
+                got = bootstrap_intervals(y, pool, 0.1, n_draws, rng=n)
+                assert_same_bytes(got, *one_shot_bootstrap(y, pool, 0.1, n_draws, n))
 
     @pytest.mark.parametrize("rows", [1, 64])
     def test_block_size_does_not_change_output(self, monkeypatch, rows):
         pool = ResidualPool(np.random.default_rng(8).normal(size=300), LOG1P)
         y = np.random.default_rng(9).normal(size=3 * baselines._block_rows(2000) + 7)
-        default = bootstrap_intervals(y, pool, 0.1, rng=4, support_min=0.0)
+        default = bootstrap_intervals(y, pool, 0.1, rng=4)
         monkeypatch.setattr(baselines, "_BLOCK_BYTES", rows * 8 * 2000)
         assert baselines._block_rows(2000) == rows
-        pinned = bootstrap_intervals(y, pool, 0.1, rng=4, support_min=0.0)
+        pinned = bootstrap_intervals(y, pool, 0.1, rng=4)
         assert_same_bytes(pinned, default.lower[:, 0], default.upper[:, 0])
 
     def test_shared_generator_continues_the_same_stream(self):
@@ -191,7 +193,7 @@ class TestBootstrapBlocks:
         pool = ResidualPool(np.random.default_rng(5).normal(size=40))
         y = np.arange(6.0).reshape(2, 3)
         got = bootstrap_intervals(y, pool, 0.1, rng=2)
-        assert_same_bytes(got, *one_shot_bootstrap(y.ravel(), pool, 0.1, 2000, 2, -math.inf))
+        assert_same_bytes(got, *one_shot_bootstrap(y.ravel(), pool, 0.1, 2000, 2))
 
     def test_peak_memory_is_bounded_by_the_block(self):
         pool = ResidualPool(np.random.default_rng(6).normal(size=3000))
@@ -203,6 +205,35 @@ class TestBootstrapBlocks:
             tracemalloc.stop()
         # the whole-batch draw peaks at about 458 MB here
         assert peak < 8 * 2**20
+
+    def test_runs_in_the_calling_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"bootstrap_intervals started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        pool = ResidualPool(np.random.default_rng(7).normal(size=100))
+        y = np.random.default_rng(8).normal(size=2 * baselines._block_rows(2000) + 1)
+        got = bootstrap_intervals(y, pool, 0.1, rng=3)
+        assert_same_bytes(got, *one_shot_bootstrap(y, pool, 0.1, 2000, 3))
+
+    @pytest.mark.parametrize("kind, scale", [
+        ("bootstrap", IDENTITY), ("bootstrap-log", LOG1P),
+    ])
+    def test_pipeline_clips_at_support(self, kind, scale):
+        # the floor is the pipeline's: the raw endpoints of the clamped
+        # predictions, each raised to support_min
+        data = np.random.default_rng(10)
+        y_true = data.exponential(2.0, size=300)
+        y_pred = y_true * data.uniform(0.5, 1.5, size=300) + data.uniform(-0.5, 0.5, 300)
+        p_test = data.uniform(-1.0, 6.0, size=baselines._block_rows(2000) + 3)
+        got = make_intervals(kind, y_true, y_pred, p_test, alpha=0.1,
+                             transform=LOG1P, n_draws=2000, rng=5, support_min=0.5)
+        pool = residual_pool(y_true, np.maximum(y_pred, 0.5), scale)
+        lo, hi = one_shot_bootstrap(
+            scale.forward(np.maximum(p_test, 0.5)), pool, 0.1, 2000, 5
+        )
+        assert np.any(lo < 0.5) and np.any(hi > 0.5)
+        assert_same_bytes(got.sets, np.maximum(0.5, lo), np.maximum(0.5, hi))
 
 
 @st.composite
@@ -238,7 +269,7 @@ class TestRankKernel:
         res, y, alpha, n_draws = case
         pool = ResidualPool(res)
         got = bootstrap_intervals(y, pool, alpha, n_draws, rng=seed)
-        assert_same_bytes(got, *one_shot_bootstrap(y, pool, alpha, n_draws, seed, -math.inf))
+        assert_same_bytes(got, *one_shot_bootstrap(y, pool, alpha, n_draws, seed))
 
     def test_mixed_signed_zero_pool_matches_by_value(self):
         # The one case that cannot match byte for byte: at a -0.0
@@ -249,7 +280,7 @@ class TestRankKernel:
         pool = ResidualPool(np.array([-0.0, 0.0]))
         y = np.array([-0.0, -0.0, 0.0, 1.0])
         got = bootstrap_intervals(y, pool, 0.1, rng=0)
-        lo, hi = one_shot_bootstrap(y, pool, 0.1, 2000, 0, -math.inf)
+        lo, hi = one_shot_bootstrap(y, pool, 0.1, 2000, 0)
         assert np.array_equal(got.lower[:, 0], lo)
         assert np.array_equal(got.upper[:, 0], hi)
         assert math.copysign(1.0, got.lower[0, 0]) == -1.0

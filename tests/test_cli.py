@@ -599,6 +599,21 @@ class TestNegativeSeed:
         assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "o.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_every_method_rejects_a_negative_seed(self, method, two_bin_files, tmp_path,
+                                                  capsys):
+        # methods that draw nothing check the seed too, and write no file
+        cal, test = two_bin_files
+        out = tmp_path / "o.csv"
+        argv = [
+            "intervals", "--method", method, "--transform", "log1p",
+            "--calibration", str(cal), "--test", str(test), "--seed", "-1",
+            "--out", str(out),
+        ]
+        assert main(argv + (["--bins", "1"] if method in BINNED_KINDS else [])) == 2
+        assert "seeds must be non-negative integers, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
