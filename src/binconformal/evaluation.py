@@ -157,10 +157,14 @@ class StudyConfig:
     zero_prob: float = 0.867
 
     def as_dict(self) -> dict:
-        """Every field as JSON-ready values, transforms by name."""
-        return asdict(self, dict_factory=lambda items: {
+        """Every field as JSON-ready values, transforms by name;
+        ``zero_prob`` only for the zicount generator, the one that reads it."""
+        out = asdict(self, dict_factory=lambda items: {
             k: v.value if isinstance(v, OutcomeTransform) else v for k, v in items
         })
+        if self.dgp != "zicount":
+            del out["zero_prob"]
+        return out
 
 
 @dataclass(frozen=True)

@@ -239,10 +239,9 @@ def _lognormal(inputs):
     sigma = baselines.residual_sigma(inputs.y_true_cal, inputs.y_pred_cal, transform)
     if sigma <= 0:
         raise DataError("calibration residuals have zero dispersion")
-    # ndtri is scipy.stats.norm.ppf without the start-up cost of
-    # scipy.stats; scipy.special too is loaded only here
-    from scipy.special import ndtri
-    z = float(ndtri(1 - inputs.alpha / 2))
+    # the normal quantile is computed in the package, so this method loads
+    # no extension module beyond numpy
+    z = baselines.normal_quantile(1 - inputs.alpha / 2)
     p_t = transform.forward(inputs.y_pred_test)
     batch = _clipped(
         transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma), inputs

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import nbinom, norm, poisson
 
 from binconformal import baselines
@@ -17,6 +18,7 @@ from binconformal.baselines import (
     estimate_nb_dispersion,
     lognormal_interval,
     negbinom_intervals,
+    normal_quantile,
     pinball_loss,
     poisson_intervals,
     quantreg_fit,
@@ -302,6 +304,11 @@ class TestLognormalInterval:
             with pytest.raises(NumericalError):
                 lognormal_interval(0.0, sigma, 0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 3.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigurationError):
+            lognormal_interval(0.0, 1.0, alpha)
+
     def test_endpoints_increase_with_sigma(self):
         widths = []
         uppers = []
@@ -493,6 +500,62 @@ class TestScipyStatsOracle:
         floor = transform.support_min
         assert_same_bytes(got, np.maximum(floor, transform.inverse(p_t - z * sigma)),
                           np.maximum(floor, transform.inverse(p_t + z * sigma)))
+
+
+# the quantile's three rational approximations: the central one, the tail
+# one while x = sqrt(-2 log min(p, 1 - p)) < 8, and the far-tail one
+EXP_M2, EXP_M32 = math.exp(-2), math.exp(-32)
+
+
+def ndtri_points():
+    """At least 10^5 probabilities in (0, 1) that reach every branch of
+    ndtri in both halves of the unit interval."""
+    rng = np.random.default_rng(23)
+    below_one = 1.0 - np.arange(1, 2_001) * 2.0 ** -53  # the doubles nearest 1
+    p = np.concatenate([
+        rng.random(40_000),
+        10.0 ** rng.uniform(-300, 0, 40_000),
+        1.0 - 10.0 ** rng.uniform(-16, 0, 20_000),
+        below_one,
+        1 - np.array(ORACLE_ALPHAS) / 2,
+        [5e-324, EXP_M2, 1 - EXP_M2, EXP_M32, 1 - EXP_M32, 0.5],
+    ])
+    return p[(p > 0) & (p < 1)]
+
+
+class TestNormalQuantile:
+    """``normal_quantile`` is a port of Cephes ndtri, the code behind
+    scipy.special.ndtri (and so scipy.stats.norm.ppf); it must return the
+    same bytes, so a scipy release that changes ndtri fails here."""
+
+    def test_matches_ndtri_bit_for_bit(self):
+        p = ndtri_points()
+        assert p.size >= 100_000
+        got = np.array([normal_quantile(v) for v in p])
+        assert got.tobytes() == ndtri(p).tobytes()
+
+    def test_points_reach_every_branch_in_both_halves(self):
+        p = ndtri_points()
+        tail = np.minimum(p, 1 - p)
+        x = np.sqrt(-2 * np.log(tail))
+        for half in (p < 0.5, p > 0.5):
+            assert np.sum(half & (tail > EXP_M2)) >= 1_000  # central
+            assert np.sum(half & (tail <= EXP_M2) & (x < 8)) >= 1_000
+            assert np.sum(half & (tail <= EXP_M2) & (x >= 8)) >= 100
+
+    def test_oracle_alphas(self):
+        for alpha in ORACLE_ALPHAS:
+            assert normal_quantile(1 - alpha / 2) == ndtri(1 - alpha / 2)
+            assert normal_quantile(1 - alpha / 2) == norm.ppf(1 - alpha / 2)
+
+    def test_endpoints_are_infinite(self):
+        assert normal_quantile(0.0) == -math.inf
+        assert normal_quantile(1.0) == math.inf
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, -math.inf, math.inf])
+    def test_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ConfigurationError):
+            normal_quantile(p)
 
 
 def refined_grid_min(X, y, tau, center, span, stages=3, points=81):

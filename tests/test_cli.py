@@ -567,6 +567,25 @@ class TestReportCommand:
         groups = {r["group"] for r in rows if r["method"] == "scp"}
         assert groups == {"aggregate", "Q1", "Q2", "Q3", "Q4"}
 
+    def test_lognormal_config_has_no_zero_prob(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main([
+            "report", "--study", "lognormal", "--replications", "1",
+            "--n", "400", "--methods", "scp", "--out", str(out),
+        ]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header.startswith("# config: ")
+        assert "zero_prob" not in json.loads(header[len("# config: "):])
+
+    def test_zicount_config_keeps_zero_prob(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main([
+            "report", "--study", "zicount", "--replications", "1", "--n", "400",
+            "--zero-prob", "0.5", "--methods", "scp", "--out", str(out),
+        ]) == 0
+        header = out.read_text().splitlines()[0]
+        assert json.loads(header[len("# config: "):])["zero_prob"] == 0.5
+
     def test_unknown_method_filter_is_config_error(self, tmp_path):
         assert main([
             "report", "--study", "lognormal", "--replications", "1",
@@ -618,9 +637,9 @@ class TestNegativeSeed:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs in a fresh interpreter, since this one has imported scipy.stats
-# already. After each step it records whether scipy.stats and scipy.special
-# are loaded: first every method that needs no scipy function and one
-# evaluate, then the parametric methods and a report.
+# already. After each step it records whether scipy.stats, scipy.special and
+# any scipy module are loaded: first every method that needs no scipy
+# function, one evaluate and a lognormal report, then the count methods.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 import binconformal
@@ -636,18 +655,20 @@ steps = [(m, lambda m=m: intervals(m))
 steps += [(m, lambda m=m: intervals(m, "--bins", "1")) for m in ("bccp-d", "bccp-c")]
 steps.append(("evaluate", lambda: cli.main(["evaluate", "--intervals", out,
                                             "--truth", cal, "--out", report])))
-steps += [(m, lambda m=m: intervals(m)) for m in ("lognormal", "poisson", "negbinom")]
+steps.append(("lognormal", lambda: intervals("lognormal")))
 steps.append(("report", lambda: cli.main(["report", "--study", "lognormal",
                                           "--replications", "1", "--n", "400",
                                           "--out", report])))
+steps += [(m, lambda m=m: intervals(m)) for m in ("poisson", "negbinom")]
 trace = []
 for name, run in steps:
     code = run()
     trace.append([name, code, "scipy.stats" in sys.modules,
-                  "scipy.special" in sys.modules])
+                  "scipy.special" in sys.modules,
+                  any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)])
 print(json.dumps(trace))
 """
-PARAMETRIC = ("lognormal", "poisson", "negbinom", "report")
+COUNT_METHODS = ("poisson", "negbinom")
 
 
 def run_fresh(args, **kwargs):
@@ -673,10 +694,14 @@ class TestFreshProcess:
                           str(tmp_path / "out.csv"), str(tmp_path / "report.csv")])
         assert done.returncode == 0, done.stderr
         trace = json.loads(done.stdout)
-        assert [t[0] for t in trace][-len(PARAMETRIC):] == list(PARAMETRIC)
-        for name, code, stats_loaded, special_loaded in trace:
+        names = [t[0] for t in trace]
+        assert names[-len(COUNT_METHODS):] == list(COUNT_METHODS)
+        assert {"lognormal", "report"} <= set(names[:-len(COUNT_METHODS)])
+        for name, code, stats_loaded, special_loaded, any_scipy in trace:
             assert code == 0, name
-            # no method calls scipy.stats; scipy.special arrives with the
-            # first parametric method
+            # no method calls scipy.stats; the lognormal method and study
+            # load no scipy module at all, and scipy.special arrives with
+            # the first count method
             assert not stats_loaded, f"scipy.stats imported by {name}"
-            assert special_loaded == (name in PARAMETRIC), name
+            assert special_loaded == (name in COUNT_METHODS), name
+            assert any_scipy == (name in COUNT_METHODS), name

@@ -51,7 +51,7 @@ CONFIG_JSON = (
         '{"cutpoints": null, "kind": "quantreg", "n_bins": null, "name": '
         '"quantreg", "transform": "log"}], "model_transform": "log", "n": '
         '10000, "proportions": [0.5, 0.25, 0.25], "replications": 100, '
-        '"round_counts": false, "support_min": 0.0, "zero_prob": 0.867}'
+        '"round_counts": false, "support_min": 0.0}'
     ),
     (
         '{"alpha": 0.1, "base_seed": 20240502, "bootstrap_draws": 2000, "dgp": '
