@@ -173,22 +173,23 @@ def cmd_evaluate(args) -> int:
     if args.group != "bins" and args.bins is not None:
         raise ConfigurationError("--bins only applies with --group bins")
     order, intervals, _ = io.read_interval_batch(args.intervals)
-    truth_ids, truth_values = io.read_truth_csv(args.truth)
-    truth = dict(zip(truth_ids, truth_values.tolist()))
-    missing = [rid for rid in order if rid not in truth]
-    if missing:
-        raise DataError(
-            f"row_id mismatch: {len(missing)} interval rows have no truth "
-            f"record (first: {missing[0]!r})"
-        )
-    if len(truth) != len(order):
-        known = set(order)
-        extra = next(rid for rid in truth if rid not in known)
-        raise DataError(
-            f"row_id mismatch: {len(truth) - len(order)} truth rows have no "
-            f"interval (first: {extra!r})"
-        )
-    y_true = np.array([truth[rid] for rid in order])
+    truth_ids, y_true = io.read_truth_csv(args.truth)
+    if truth_ids != order:  # a truth file in another order, or other rows
+        truth = dict(zip(truth_ids, y_true.tolist()))
+        missing = [rid for rid in order if rid not in truth]
+        if missing:
+            raise DataError(
+                f"row_id mismatch: {len(missing)} interval rows have no truth "
+                f"record (first: {missing[0]!r})"
+            )
+        if len(truth) != len(order):
+            known = set(order)
+            extra = next(rid for rid in truth if rid not in known)
+            raise DataError(
+                f"row_id mismatch: {len(truth) - len(order)} truth rows have "
+                f"no interval (first: {extra!r})"
+            )
+        y_true = np.array([truth[rid] for rid in order])
 
     if args.group == "bins":
         grouping = bins_from_spec(args.bins, y_true, -math.inf)

@@ -279,6 +279,39 @@ class TestIntervalsCommand:
         _, rows = read_table(out)
         assert [r["row_id"] for r in rows] == ["a", "b"]
 
+    def test_row_id_starting_with_hash_is_data_error(self, two_bin_files, tmp_path,
+                                                     capsys):
+        # a comment line may only come before the header, so '#a' is not
+        # dropped from the intervals (and from evaluate's coverage)
+        cal, _ = two_bin_files
+        test = tmp_path / "test.csv"
+        test.write_text("row_id,y_pred,y_true\n#a,5.0,100.0\nb,5.0,5.0\n")
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{test}: record 1 starts with '#'" in err
+        assert not out.exists()
+
+    def test_row_id_with_carriage_return_round_trips(self, two_bin_files, tmp_path):
+        cal, _ = two_bin_files
+        test = tmp_path / "test.csv"
+        test.write_bytes(b'row_id,y_pred,y_true\n"a\rb",5.0,100.0\nb,5.0,5.0\n')
+        iv, report, widths = (tmp_path / f"{name}.csv" for name in ("iv", "r", "w"))
+        assert main([
+            "intervals", "--method", "scp", "--calibration", str(cal),
+            "--test", str(test), "--out", str(iv),
+        ]) == 0
+        assert main([
+            "evaluate", "--intervals", str(iv), "--truth", str(test),
+            "--out", str(report), "--widths-out", str(widths),
+        ]) == 0
+        assert io.read_interval_batch(iv)[0] == ["a\rb", "b"]
+        with open(widths, newline="") as fh:
+            assert [r[0] for r in csv.reader(fh)][2:] == ["a\rb", "b"]
+
     def test_empty_bin_is_data_error_without_flag(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
         code = main([
