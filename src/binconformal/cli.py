@@ -6,13 +6,15 @@ an interval file against true outcomes), ``report`` (run a replicated
 study end to end).
 
 Every command is deterministic given its flags; outputs embed the resolved
-configuration as a leading comment line. Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical error.
+configuration as a leading comment line; method notes and warnings (such as
+collapsed percentile bins) go to stderr as ``note:`` lines. Exit codes: 0
+success, 2 configuration error, 3 data error, 4 numerical error.
 """
 
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,7 +265,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)
+            warnings.showwarning = lambda message, *_: print(
+                f"note: {message}", file=sys.stderr
+            )
+            return COMMANDS[args.command](args)
     except BinConformalError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -6,8 +6,8 @@ finite-sample-corrected quantile of calibration scores. The bin-conditional
 variant (BCCP) computes a separate quantile from the calibration records
 whose observed outcome falls in each bin, intersects each bin's interval
 with the bin itself, and combines the pieces: as the discontiguous union
-(BCCPd) or as its contiguized hull (BCCPc). With a single all-support bin
-BCCP reduces exactly to SCP.
+(BCCPd) or as its contiguized hull (BCCPc). SCP is BCCP with the single
+all-support bin, which a calibration built without a partition holds.
 
 Conventions, fixed here so results are deterministic:
 
@@ -25,13 +25,15 @@ Conventions, fixed here so results are deterministic:
 * A calibration of bare scores ``s`` is ``calibrate(s, np.zeros(n), alpha)``.
 
 The per-row functions (:func:`scp_interval`, :func:`bccp_discontiguous`,
-:func:`bccp_contiguous`) are the reference; the ``*_bounds`` functions
-compute the same endpoints for a whole array of predictions at once and
-are what the pipelines run; they return fresh arrays the caller owns.
-Python's ``max(a, b)`` returns ``b`` only when ``b > a``, and ``min``
-likewise, so the array forms spell out that comparison (``np.where``, or
-``np.copyto`` with a ``where`` mask) in the same argument order:
-``np.maximum`` would pick a different zero from ``max(0.0, -0.0)``.
+:func:`bccp_contiguous`) are the reference. :func:`bccp_bounds`, every
+bin's segment for a whole array of predictions at once, in fresh arrays
+the caller owns, is the one batch kernel the pipelines run; SCP is its
+one-bin case and BCCPc the hull of its merged slots. The tie rule: a lower endpoint is
+``max(lo_b, y_hat - q_b)`` and an upper one ``min(y_hat + q_b, hi_b)``,
+and Python's ``max(a, b)`` returns ``b`` only when ``b > a``, so on a tie
+the bin edge is kept (a ``-0.0`` meeting an edge of ``0.0`` gives
+``0.0``). The kernel spells out that comparison with ``np.copyto`` and a
+``where`` mask; ``np.maximum`` would pick a different zero.
 """
 
 import math
@@ -42,7 +44,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .intervals import (
     BinPartition,
-    IntervalBatch,
     IntervalSet,
     PredictionInterval,
     union,
@@ -89,25 +90,36 @@ def finite_sample_quantile(scores, alpha: float) -> float:
     return float(np.partition(arr, rank - 1)[rank - 1])
 
 
+def require_records(partition: BinPartition, bin_indices) -> None:
+    """DataError naming the first bin of ``partition`` not in ``bin_indices``."""
+    counts = np.bincount(bin_indices, minlength=partition.n_bins + 1)[1:]
+    if not counts.all():
+        lo, hi = partition.bin_bounds(b := int(np.argmin(counts)) + 1)
+        raise DataError(
+            f"bin {b} [{lo}, {hi}) has no calibration records; "
+            f"widen the bins or enable the whole-bin fallback"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ConformalCalibration:
     """Calibration scores with precomputed global and per-bin quantiles.
 
-    ``scores`` are the absolute errors ``|y_true - y_pred|``. With a
-    partition, ``bin_indices`` follow the observed outcome ``y_true``,
-    never the prediction.
+    ``scores`` are the absolute errors ``|y_true - y_pred|``;
+    ``bin_indices`` follow the observed outcome ``y_true``, never the
+    prediction. Without a partition of its own the calibration holds the
+    one all-support bin, whose quantile is the global one.
     """
 
     scores: np.ndarray
     alpha: float
     support_min: float
     quantile: float
-    bin_quantiles: dict | None  # 1-based bin index -> per-bin quantile
-    partition: BinPartition | None = None
-    bin_indices: np.ndarray | None = None
+    bin_quantiles: dict  # 1-based bin index -> per-bin quantile
+    partition: BinPartition
+    bin_indices: np.ndarray
 
     def scores_in_bin(self, index: int) -> np.ndarray:
-        _require_bins(self)
         return self.scores[self.bin_indices == index]
 
     def clamp(self, y_hat: float) -> float:
@@ -125,8 +137,9 @@ def calibrate(
 ) -> ConformalCalibration:
     """Build a conformal calibration from held-out (y_true, y_pred) pairs.
 
-    With a partition, scores are grouped by the bin of the observed
-    outcome and a per-bin quantile is stored for each bin. A bin with no
+    Scores are grouped by the bin of the observed outcome and a per-bin
+    quantile is stored for each bin; without a partition the one bin
+    ``BinPartition((), support_min)`` holds them all. A bin with no
     calibration records raises unless ``allow_empty_bins`` is set, in
     which case its quantile is +inf (the whole-bin fallback). NaN or
     infinite outcomes and predictions raise DataError.
@@ -141,24 +154,15 @@ def calibrate(
     if np.any(yt < support_min):
         raise DataError("calibration outcome below the declared support minimum")
     scores = np.abs(yt - yp)
-
-    bin_indices = None
-    bin_quantiles = None
-    if partition is not None:
-        bin_indices = partition.assign_many(yt)
-        bin_quantiles = {}
-        for b in range(1, partition.n_bins + 1):
-            bin_scores = scores[bin_indices == b]
-            if bin_scores.size == 0:
-                if not allow_empty_bins:
-                    lo, hi = partition.bin_bounds(b)
-                    raise DataError(
-                        f"bin {b} [{lo}, {hi}) has no calibration records; "
-                        f"widen the bins or enable the whole-bin fallback"
-                    )
-                bin_quantiles[b] = INF
-            else:
-                bin_quantiles[b] = finite_sample_quantile(bin_scores, alpha)
+    if partition is None:
+        partition = BinPartition((), support_min)
+    bin_indices = partition.assign_many(yt)
+    if not allow_empty_bins:
+        require_records(partition, bin_indices)
+    bin_quantiles = {}
+    for b in range(1, partition.n_bins + 1):
+        in_bin = scores[bin_indices == b]
+        bin_quantiles[b] = finite_sample_quantile(in_bin, alpha) if in_bin.size else INF
 
     return ConformalCalibration(
         scores=scores,
@@ -179,12 +183,6 @@ def scp_interval(y_hat: float, calibration: ConformalCalibration) -> PredictionI
     return PredictionInterval(lower, y0 + q)
 
 
-def _require_bins(calibration: ConformalCalibration) -> BinPartition:
-    if calibration.partition is None:
-        raise ConfigurationError("calibration was built without a bin partition")
-    return calibration.partition
-
-
 def bccp_per_bin_interval(
     y_hat: float, bin_index: int, calibration: ConformalCalibration
 ) -> PredictionInterval | None:
@@ -195,13 +193,12 @@ def bccp_per_bin_interval(
     the returned segment, except that a segment consisting solely of that
     excluded edge point is empty.
     """
-    partition = _require_bins(calibration)
-    lo_bin, hi_bin = partition.bin_bounds(bin_index)
+    lo_bin, hi_bin = calibration.partition.bin_bounds(bin_index)
     q_b = calibration.bin_quantiles[bin_index]
     if math.isinf(q_b):
         return PredictionInterval(lo_bin, hi_bin)
     y0 = calibration.clamp(float(y_hat))
-    lo = max(y0 - q_b, lo_bin)
+    lo = max(lo_bin, y0 - q_b)
     hi = min(y0 + q_b, hi_bin)
     if lo > hi:
         return None
@@ -212,9 +209,8 @@ def bccp_per_bin_interval(
 
 def bccp_discontiguous(y_hat: float, calibration: ConformalCalibration) -> IntervalSet:
     """Union of every bin's interval; non-empty for any in-support y_hat."""
-    partition = _require_bins(calibration)
     pieces = []
-    for b in range(1, partition.n_bins + 1):
+    for b in range(1, calibration.partition.n_bins + 1):
         piece = bccp_per_bin_interval(y_hat, b, calibration)
         if piece is not None:
             pieces.append(piece)
@@ -226,39 +222,24 @@ def bccp_contiguous(y_hat: float, calibration: ConformalCalibration) -> Predicti
     return bccp_discontiguous(y_hat, calibration).hull()
 
 
-def _clamped(y_hats, calibration: ConformalCalibration) -> np.ndarray:
-    """Vectorized :meth:`ConformalCalibration.clamp`."""
-    y = np.asarray(y_hats, dtype=float).ravel()
-    smin = calibration.support_min
-    return np.where(y >= smin, y, smin)
-
-
-def scp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
-    """:func:`scp_interval` for every prediction: (n, 1) lower and upper."""
-    y0 = _clamped(y_hats, calibration)
-    q = calibration.quantile
-    smin = calibration.support_min
-    down = y0 - q
-    lower = np.where(down > smin, down, smin)  # max(smin, y0 - q)
-    return lower[:, None], (y0 + q)[:, None]
-
-
 def bccp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
     """:func:`bccp_per_bin_interval` for every prediction and bin at once.
 
     Returns (n, n_bins) lower and upper arrays, column b-1 holding bin b's
     segment and NaN where the bin contributes none. Slots come in bin
     order, so they are sorted; segments touching at a breakpoint are not
-    merged here.
+    merged here. With the one all-support bin of a calibration built
+    without a partition these are the :func:`scp_interval` endpoints.
     """
-    partition = _require_bins(calibration)
+    partition, smin = calibration.partition, calibration.support_min
     bins = range(1, partition.n_bins + 1)
     lo_bin, hi_bin = np.array([partition.bin_bounds(b) for b in bins]).T
     q = np.array([calibration.bin_quantiles[b] for b in bins])
-    y0 = _clamped(y_hats, calibration)[:, None]
+    y = np.asarray(y_hats, dtype=float).ravel()[:, None]
+    y0 = np.where(y >= smin, y, smin)  # ConformalCalibration.clamp
     # for finite y0 an infinite q_b yields the whole bin [lo_b, hi_b] here
     lower, upper = y0 - q, y0 + q
-    np.copyto(lower, lo_bin, where=lo_bin > lower)  # max(y0 - q_b, lo_b)
+    np.copyto(lower, lo_bin, where=lo_bin >= lower)  # max(lo_b, y0 - q_b)
     np.copyto(upper, hi_bin, where=hi_bin < upper)  # min(y0 + q_b, hi_b)
     empty = (lower > upper) | (
         (lower == upper) & (upper == hi_bin) & np.isfinite(hi_bin)
@@ -266,13 +247,6 @@ def bccp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
     lower[empty] = np.nan
     upper[empty] = np.nan
     return lower, upper
-
-
-def bccp_contiguous_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
-    """:func:`bccp_contiguous` for every prediction: the hull of the merged
-    :func:`bccp_bounds` slots, as (n, 1) lower and upper."""
-    hull = IntervalBatch.from_slots(*bccp_bounds(y_hats, calibration)).hull()
-    return hull.lower, hull.upper
 
 
 def grid_interval(

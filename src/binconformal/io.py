@@ -259,11 +259,16 @@ def write_intervals_csv(
     path, row_ids, interval_sets: IntervalBatch, flags=None, config=None
 ):
     """One line per segment; ``interval_sets`` holds one row per id of the
-    sequence ``row_ids``, and ``flags``, if given, one tuple per row."""
+    sequence ``row_ids``, and ``flags``, if given, one tuple per row. A
+    row id that starts with '#' raises DataError before the file is
+    created, since a reader takes its line for a misplaced comment."""
     if len(row_ids) != len(interval_sets):
         raise DataError(
             f"{len(row_ids)} row ids for {len(interval_sets)} interval sets"
         )
+    comment = next((rid for rid in map(str, row_ids) if rid[:1] == "#"), None)
+    if comment is not None:
+        raise DataError(f"row_id {comment!r} starts with '#', which marks a comment")
     lower, upper = interval_sets.lower, interval_sets.upper
     step = max(1, _WRITE_LINES // max(1, lower.shape[1]))
 

@@ -19,10 +19,9 @@ from . import baselines
 from .conformal import (
     _validate_alpha,
     bccp_bounds,
-    bccp_contiguous_bounds,
     calibrate,
     require_finite,
-    scp_bounds,
+    require_records,
 )
 from .errors import ConfigurationError, DataError
 from .intervals import BinPartition, IntervalBatch
@@ -179,28 +178,33 @@ def _back_transform(lower, upper, transform, snap):
 # mask of crossed quantile pairs (False where no pair can cross).
 
 
-def _conformal(bounds, inputs):
-    transform, bins = inputs.transform, inputs.bins
-    partition = None
-    snap = {}
-    if bins is not None:
-        partition = BinPartition(
-            map(transform.forward, bins.breakpoints),
-            _transformed_support(transform, bins.support_min),
-        )
-        snap = dict(zip(partition.breakpoints, bins.breakpoints))
-        if math.isfinite(partition.support_min):
-            snap[partition.support_min] = bins.support_min
+def _conformal(contiguous, inputs):
+    # SCP is BCCP-d over the one all-support bin
+    transform = inputs.transform
+    bins = inputs.bins or BinPartition((), inputs.support_min)
+    partition = BinPartition(
+        map(transform.forward, bins.breakpoints),
+        _transformed_support(transform, bins.support_min),
+    )
+    snap = dict(zip(partition.breakpoints, bins.breakpoints))
+    if math.isfinite(partition.support_min):
+        snap[partition.support_min] = bins.support_min
+    # empty bins are checked against the raw bins, whose bounds the user gave
     cal = calibrate(
         transform.forward(inputs.y_true_cal), transform.forward(inputs.y_pred_cal),
         inputs.alpha, partition=partition,
         support_min=_transformed_support(transform, inputs.support_min),
-        allow_empty_bins=inputs.allow_empty_bins,
+        allow_empty_bins=True,
     )
+    if not inputs.allow_empty_bins:
+        require_records(bins, cal.bin_indices)
     notes = ()
-    if cal.bin_quantiles and any(math.isinf(q) for q in cal.bin_quantiles.values()):
+    if any(math.isinf(q) for q in cal.bin_quantiles.values()):
         notes = ("one or more bins fell back to an infinite quantile",)
-    lower, upper = bounds(transform.forward(inputs.y_pred_test), cal)
+    lower, upper = bccp_bounds(transform.forward(inputs.y_pred_test), cal)
+    if contiguous:  # on the method's scale, so hull endpoints snap too
+        hull = IntervalBatch.from_slots(lower, upper).hull()
+        lower, upper = hull.lower, hull.upper
     # back-transform (in place: the bounds are fresh arrays), then merge
     # once on the raw scale; the inverse is monotone and snapping maps
     # equal values to equal values, so this equals merging on both scales
@@ -297,9 +301,9 @@ def _quantreg(inputs):
 # builders look calibrate and the baselines up as module globals at call
 # time, so a wrapper installed on those bindings sees every call
 BUILDERS = {
-    "scp": partial(_conformal, scp_bounds),
-    "bccp-d": partial(_conformal, bccp_bounds),
-    "bccp-c": partial(_conformal, bccp_contiguous_bounds),
+    "scp": partial(_conformal, False),
+    "bccp-d": partial(_conformal, False),
+    "bccp-c": partial(_conformal, True),
     "bootstrap": _bootstrap,
     "bootstrap-log": _bootstrap_log,
     "lognormal": _lognormal,

@@ -327,6 +327,21 @@ class TestIntervalsCommand:
         ])
         assert code == 0
 
+    def test_empty_bin_error_names_the_raw_bin(self, tmp_path, capsys):
+        # the bins are cut on the log1p scale, but the message names the
+        # bin the user gave: [55, inf), not [log1p(55), inf)
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  [(i, i % 5, i % 5 + 0.3) for i in range(30)])
+        write_csv(test, ("row_id", "y_pred"), [("a", 1.0)])
+        code = main([
+            "intervals", "--method", "bccp-d", "--calibration", str(cal),
+            "--test", str(test), "--out", str(tmp_path / "iv.csv"),
+            "--bins", "1,55", "--transform", "log1p",
+        ])
+        assert code == 3
+        assert "bin 3 [55.0, inf) has no calibration records" in capsys.readouterr().err
+
     @pytest.mark.parametrize("which, row", [
         ("test", ("b", "nan")),
         ("test", ("b", "inf")),
@@ -619,6 +634,14 @@ class TestReportCommand:
         header = out.read_text().splitlines()[0]
         assert json.loads(header[len("# config: "):])["zero_prob"] == 0.5
 
+    def test_empty_bin_error_names_the_raw_bin(self, tmp_path, capsys):
+        assert main([
+            "report", "--study", "zicount", "--replications", "1", "--n", "200",
+            "--methods", "bccp-d-4", "--out", str(tmp_path / "r.csv"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "replicate 0: bin 4 [55.0, inf) has no calibration records" in err
+
     def test_unknown_method_filter_is_config_error(self, tmp_path):
         assert main([
             "report", "--study", "lognormal", "--replications", "1",
@@ -704,8 +727,8 @@ print(json.dumps(trace))
 COUNT_METHODS = ("poisson", "negbinom")
 
 
-def run_fresh(args, **kwargs):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_fresh(args, env=None, **kwargs):
+    env = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60, **kwargs)
 
@@ -715,6 +738,34 @@ class TestFreshProcess:
         done = run_fresh(["-m", "binconformal", "--help"])
         assert done.returncode == 0
         assert done.stdout.startswith("usage: binconformal")
+
+    @pytest.mark.parametrize("command", ["intervals", "evaluate"])
+    def test_collapsed_percentile_bins_are_a_note(self, tmp_path, command):
+        # mostly zeros: the percentile breakpoints coincide, and the warning
+        # about it is a note even when warnings are errors
+        y = [0.0] * 36 + [1.0, 2.0, 3.0, 4.0]
+        cal, test, iv = (tmp_path / f"{name}.csv" for name in ("cal", "test", "iv"))
+        write_csv(cal, ("row_id", "y_true", "y_pred"), [(i, v, 0.5) for i, v in enumerate(y)])
+        write_csv(test, ("row_id", "y_pred", "y_true"),
+                  [(i, 0.5, v) for i, v in enumerate(y)])
+        if command == "intervals":
+            argv = ["intervals", "--method", "bccp-d", "--bins", "percentiles:4",
+                    "--transform", "log1p", "--calibration", str(cal),
+                    "--test", str(test), "--out", str(iv)]
+        else:
+            io.write_intervals_csv(
+                iv, [str(i) for i in range(len(y))],
+                IntervalBatch.from_bounds(np.zeros(len(y)), np.ones(len(y))),
+            )
+            argv = ["evaluate", "--intervals", str(iv), "--truth", str(test),
+                    "--group", "quartiles", "--out", str(tmp_path / "report.csv")]
+        done = run_fresh(["-m", "binconformal", *argv], env={"PYTHONWARNINGS": "error"})
+        assert done.returncode == 0, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(
+            "note: duplicate or out-of-support percentile breakpoints collapsed: "
+            "4 requested bins reduced to "
+        )
 
     def test_scipy_stats_loads_only_for_a_method_that_calls_it(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -172,10 +172,19 @@ class TestBccpPerBin:
         with pytest.raises(ConfigurationError):
             bccp_per_bin_interval(2.0, 3, cal)
 
-    def test_requires_partition(self):
-        cal = calibrate([1.0] * 19, np.zeros(19), 0.1)
-        with pytest.raises(ConfigurationError):
-            bccp_per_bin_interval(2.0, 1, cal)
+    @pytest.mark.parametrize("support", [-INF, 0.0])
+    @pytest.mark.parametrize("scores", [[0.0] * 19, [1.5] * 19, [0.5, 2.0]])
+    def test_calibration_without_partition_is_one_bin_scp(self, support, scores):
+        # a calibration built without bins holds the one all-support bin,
+        # and BCCP over it is SCP to the sign of a zero: a -0.0 prediction
+        # meeting a zero quantile at an edge of 0 gives a lower bound of 0.0
+        cal = calibrate(scores, np.zeros(len(scores)), 0.1, support_min=support)
+        assert cal.partition == BinPartition((), support)
+        for y_hat in (-0.0, 0.0, -1.0, 2.0, 1e300):
+            want = scp_interval(y_hat, cal)
+            (got,) = bccp_discontiguous(y_hat, cal).segments
+            for a, b in ((got.lower, want.lower), (got.upper, want.upper)):
+                assert a == b and math.copysign(1, a) == math.copysign(1, b)
 
 
 class TestBccpCombined:

@@ -396,6 +396,8 @@ def test_repeated_column_name_reads_its_last_occurrence(tmp_path):
 # every character csv.writer treats specially with a "\n" terminator, a
 # leading '#', non-ASCII text and the empty string
 WRITTEN_TEXT = st.text(alphabet='ab1,"\' #;\né', max_size=6)
+# the interval writer refuses an id that a reader would take for a comment
+WRITTEN_IDS = WRITTEN_TEXT.filter(lambda s: not s.startswith("#"))
 WRITE_LINES = [1, 2, 3, io._WRITE_LINES]
 
 
@@ -425,7 +427,7 @@ DISJOINT = st.lists(ENDPOINTS, min_size=2, max_size=6, unique=True).map(
 class TestWriters:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.tuples(WRITTEN_TEXT, DISJOINT, FLAGS), min_size=1, max_size=8),
+    @given(st.lists(st.tuples(WRITTEN_IDS, DISJOINT, FLAGS), min_size=1, max_size=8),
            st.sampled_from(WRITE_LINES))
     def test_intervals_match_csv_writer(self, tmp_path, monkeypatch, rows, lines):
         monkeypatch.setattr(io, "_WRITE_LINES", lines)
@@ -438,6 +440,17 @@ class TestWriters:
             (rid, j, repr(lo), repr(hi), ";".join(f))
             for rid, segments, f in rows for j, (lo, hi) in enumerate(segments)
         ], {"a": [1, ","]})
+
+    @pytest.mark.parametrize("rid", ["#a", "#"])
+    def test_intervals_refuse_a_comment_row_id(self, tmp_path, rid):
+        # no reader takes such a line back, so the id is refused before
+        # the file exists
+        path = tmp_path / "iv.csv"
+        ids = ["a", rid, "b"]
+        batch = IntervalBatch.from_bounds([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match=f"row_id '{rid}' starts with '#'"):
+            io.write_intervals_csv(path, ids, batch)
+        assert not path.exists()
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

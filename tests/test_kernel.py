@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from binconformal.conformal import (
     bccp_bounds,
     bccp_contiguous,
-    bccp_contiguous_bounds,
     bccp_discontiguous,
     bccp_per_bin_interval,
     calibrate,
-    scp_bounds,
     scp_interval,
 )
 from binconformal.errors import BinConformalError
@@ -230,9 +228,10 @@ class TestKernelMatchesOracle:
         for c in partition.breakpoints:
             y_hats += [c, float(np.nextafter(c, -INF))]
             y_hats += [c + s * q for q in quantiles if math.isfinite(q) for s in (-1, 1)]
-        lower, upper = scp_bounds(y_hats, plain)
+        lower, upper = bccp_bounds(y_hats, plain)
         per_bin = bccp_bounds(y_hats, binned)
-        hull = bccp_contiguous_bounds(y_hats, binned)
+        merged = IntervalBatch.from_slots(*per_bin).hull()
+        hull = merged.lower, merged.upper
         for i, y_hat in enumerate(y_hats):
             want = scp_interval(y_hat, plain)
             assert same_float(lower[i, 0], want.lower)
