@@ -3,14 +3,12 @@ prediction, baseline interval methods, synthetic data generators, and a
 replication harness."""
 
 from .baselines import (
-    ResidualPool,
     bootstrap_intervals,
     estimate_nb_dispersion,
     lognormal_interval,
     pinball_loss,
     quantreg_fit,
     quantreg_pair,
-    residual_pool,
 )
 from .conformal import (
     ConformalCalibration,

@@ -16,7 +16,7 @@ import numpy as np
 from .conformal import _validate_alpha, require_finite
 from .errors import ConfigurationError, DataError, NumericalError
 from .intervals import IntervalBatch, PredictionInterval
-from .models import OutcomeTransform, design_matrix, linear_predict
+from .models import design_matrix, linear_predict
 from .simulation import derive_rng
 
 INF = math.inf
@@ -129,25 +129,6 @@ def normal_quantile(p: float) -> float:
 # residual bootstrap
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualPool:
-    """Calibration residuals on a declared scale (raw, log, or log1p)."""
-
-    residuals: np.ndarray
-    scale: OutcomeTransform = OutcomeTransform.IDENTITY
-
-
-def residual_pool(
-    y_true, y_pred, scale: OutcomeTransform = OutcomeTransform.IDENTITY
-) -> ResidualPool:
-    """Pool of transform(y_true) - transform(y_pred) over calibration pairs."""
-    yt = np.asarray(y_true, dtype=float).ravel()
-    yp = np.asarray(y_pred, dtype=float).ravel()
-    if yt.size != yp.size:
-        raise DataError(f"y_true ({yt.size}) and y_pred ({yp.size}) lengths differ")
-    return ResidualPool(residuals=scale.forward(yt) - scale.forward(yp), scale=scale)
-
-
 def _as_rng(rng) -> np.random.Generator:
     """``rng`` itself if it is a generator, a fresh one for None, else
     the generator :func:`derive_rng` seeds from it."""
@@ -170,20 +151,20 @@ def _block_rows(n_draws: int) -> int:
 
 def bootstrap_intervals(
     y_hats,
-    pool: ResidualPool,
+    residuals,
     alpha: float,
     n_draws: int = 2000,
     rng=None,
 ) -> IntervalBatch:
     """Bootstrap intervals for many predictions sharing one residual pool.
 
-    ``y_hats`` are on the pool's scale. Each prediction gets ``n_draws``
-    residuals resampled with replacement and SUBTRACTED from it (the basic
-    reverse-percentile form, which reflects skew in the error pool); the
-    interval is the empirical [alpha/2, 1 - alpha/2] quantile range of the
-    simulated outcomes (numpy's default linear method), back-transformed
-    to the raw scale. For symmetric pools this coincides with adding the
-    residuals.
+    ``y_hats`` and ``residuals`` are on one scale, and so are the returned
+    bounds. Each prediction gets ``n_draws`` residuals resampled with
+    replacement and SUBTRACTED from it (the basic reverse-percentile form,
+    which reflects skew in the error pool); the interval is the empirical
+    [alpha/2, 1 - alpha/2] quantile range of the simulated outcomes
+    (numpy's default linear method). For symmetric pools this coincides
+    with adding the residuals.
 
     Rows are processed in blocks of about 1 MB of draws. Each block's
     indices are drawn from ``rng`` in row order, which yields the same
@@ -192,7 +173,7 @@ def bootstrap_intervals(
     draws, so the result does not depend on the block size, and memory
     stays O(block) instead of O(n).
     """
-    res = pool.residuals
+    res = np.asarray(residuals, dtype=float).ravel()
     if res.size == 0:
         raise DataError("empty calibration: residual pool has no records")
     if not np.all(np.isfinite(res)):
@@ -227,9 +208,7 @@ def bootstrap_intervals(
         out = bounds[:, block]
         np.add(a, diff * gamma, out=out)
         np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return IntervalBatch.from_bounds(
-        pool.scale.inverse(bounds[0]), pool.scale.inverse(bounds[1])
-    )
+    return IntervalBatch.from_bounds(bounds[0], bounds[1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +225,12 @@ def lognormal_interval(y_hat_log: float, sigma_hat: float, alpha: float) -> Pred
     )
 
 
-def residual_sigma(y_true, y_pred, scale: OutcomeTransform = OutcomeTransform.LOG) -> float:
-    """Sample standard deviation of calibration residuals on ``scale``."""
-    pool = residual_pool(y_true, y_pred, scale)
-    if pool.residuals.size < 2:
+def residual_sigma(residuals) -> float:
+    """Sample standard deviation of calibration residuals."""
+    res = np.asarray(residuals, dtype=float).ravel()
+    if res.size < 2:
         raise DataError("need at least 2 calibration records to estimate dispersion")
-    return float(np.std(pool.residuals, ddof=1))
+    return float(np.std(res, ddof=1))
 
 
 def _count_quantiles(mus, alpha: float, what: str, quantile) -> IntervalBatch:

@@ -38,6 +38,7 @@ the bin edge is kept (a ``-0.0`` meeting an edge of ``0.0`` gives
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def require_records(partition: BinPartition, bin_indices) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ConformalCalibration:
-    """Calibration scores with precomputed global and per-bin quantiles.
+    """Calibration scores with precomputed per-bin quantiles.
 
     ``scores`` are the absolute errors ``|y_true - y_pred|``;
     ``bin_indices`` follow the observed outcome ``y_true``, never the
@@ -114,10 +115,15 @@ class ConformalCalibration:
     scores: np.ndarray
     alpha: float
     support_min: float
-    quantile: float
     bin_quantiles: dict  # 1-based bin index -> per-bin quantile
     partition: BinPartition
     bin_indices: np.ndarray
+
+    @cached_property
+    def quantile(self) -> float:
+        """Global quantile of all scores, computed on first read: the
+        pipelines read only ``bin_quantiles``."""
+        return finite_sample_quantile(self.scores, self.alpha)
 
     def scores_in_bin(self, index: int) -> np.ndarray:
         return self.scores[self.bin_indices == index]
@@ -168,7 +174,6 @@ def calibrate(
         scores=scores,
         alpha=alpha,
         support_min=float(support_min),
-        quantile=finite_sample_quantile(scores, alpha),
         bin_quantiles=bin_quantiles,
         partition=partition,
         bin_indices=bin_indices,

@@ -329,7 +329,8 @@ def bins_from_percentiles(
 
     Quantiles use linear order-statistic interpolation (quantile p sits at
     index 1+(n-1)p, one-based). Duplicate breakpoints, and breakpoints not
-    above ``support_min``, are dropped with a warning, yielding fewer bins.
+    above both ``support_min`` and the smallest value, are dropped with a
+    warning, yielding fewer bins; so no bin starts out empty.
 
     Raises
     ------
@@ -355,7 +356,8 @@ def bins_from_percentiles(
         )
     probs = [j / k for j in range(1, k)]
     raw = np.quantile(arr, probs)
-    kept = np.unique(raw[raw > support_min])
+    # a breakpoint at the smallest value would open with an empty bin
+    kept = np.unique(raw[raw > max(support_min, arr.min())])
     if kept.size < len(probs):
         warnings.warn(
             f"duplicate or out-of-support percentile breakpoints collapsed: "

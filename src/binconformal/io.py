@@ -259,13 +259,16 @@ def write_intervals_csv(
     path, row_ids, interval_sets: IntervalBatch, flags=None, config=None
 ):
     """One line per segment; ``interval_sets`` holds one row per id of the
-    sequence ``row_ids``, and ``flags``, if given, one tuple per row. A
-    row id that starts with '#' raises DataError before the file is
-    created, since a reader takes its line for a misplaced comment."""
+    sequence ``row_ids``, and ``flags``, if given, one tuple per row;
+    DataError, before the file is created, if either count differs. A
+    row id that starts with '#' raises DataError too, since a reader takes
+    its line for a misplaced comment."""
     if len(row_ids) != len(interval_sets):
         raise DataError(
             f"{len(row_ids)} row ids for {len(interval_sets)} interval sets"
         )
+    if flags is not None and len(flags) != len(row_ids):
+        raise DataError(f"{len(flags)} flag tuples for {len(row_ids)} row ids")
     comment = next((rid for rid in map(str, row_ids) if rid[:1] == "#"), None)
     if comment is not None:
         raise DataError(f"row_id {comment!r} starts with '#', which marks a comment")
@@ -416,8 +419,14 @@ def write_widths_csv(
     path, row_ids, y_true, interval_sets: IntervalBatch, config=None
 ):
     """Per-row width, segment count and coverage of ``interval_sets``,
-    one row per id of the sequence ``row_ids``."""
+    one row per id of the sequence ``row_ids``; DataError, before the file
+    is created, unless ``y_true`` and ``interval_sets`` have one row per id."""
     y = np.asarray(y_true, dtype=float).ravel()
+    if not len(row_ids) == y.size == len(interval_sets):
+        raise DataError(
+            f"{len(row_ids)} row ids, {y.size} outcomes and "
+            f"{len(interval_sets)} interval sets"
+        )
     width = interval_sets.total_width()
     n_segments = interval_sets.n_segments
     covered = interval_sets.contains(y).astype(int)

@@ -106,9 +106,9 @@ def ols_fit(features, y, transform: OutcomeTransform = OutcomeTransform.IDENTITY
         raise DataError(f"feature rows ({n}) and outcomes ({len(z)}) differ")
     if n < p + 1:
         raise DataError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
-    if np.linalg.matrix_rank(X) < p:
+    beta, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
+    if rank < p:
         raise NumericalError("singular design matrix: features are collinear")
-    beta, *_ = np.linalg.lstsq(X, z, rcond=None)
     return LinearModel(coefficients=beta, transform=transform)
 
 

@@ -225,13 +225,18 @@ def _clipped(lower, upper, inputs):
     return IntervalBatch.from_bounds(np.maximum(floor, lower), np.maximum(floor, upper))
 
 
+def _residuals(inputs, scale):
+    """Calibration residuals ``forward(y_true) - forward(y_pred)`` on ``scale``."""
+    return scale.forward(inputs.y_true_cal) - scale.forward(inputs.y_pred_cal)
+
+
 def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
-    pool = baselines.residual_pool(inputs.y_true_cal, inputs.y_pred_cal, scale)
     batch = baselines.bootstrap_intervals(
-        scale.forward(inputs.y_pred_test), pool, inputs.alpha,
+        scale.forward(inputs.y_pred_test), _residuals(inputs, scale), inputs.alpha,
         n_draws=inputs.n_draws, rng=inputs.rng,
     )
-    return _clipped(batch.lower, batch.upper, inputs), (), False
+    lower, upper = scale.inverse(batch.lower), scale.inverse(batch.upper)
+    return _clipped(lower, upper, inputs), (), False
 
 
 def _bootstrap_log(inputs):
@@ -240,7 +245,7 @@ def _bootstrap_log(inputs):
 
 def _lognormal(inputs):
     transform = _log_scale(inputs, "the log-normal method")
-    sigma = baselines.residual_sigma(inputs.y_true_cal, inputs.y_pred_cal, transform)
+    sigma = baselines.residual_sigma(_residuals(inputs, transform))
     if sigma <= 0:
         raise DataError("calibration residuals have zero dispersion")
     # the normal quantile is computed in the package, so this method loads

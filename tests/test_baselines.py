@@ -13,7 +13,6 @@ from binconformal import baselines
 from binconformal.baselines import (
     QuantRegFit,
     QuantRegModel,
-    ResidualPool,
     bootstrap_intervals,
     estimate_nb_dispersion,
     lognormal_interval,
@@ -23,7 +22,6 @@ from binconformal.baselines import (
     poisson_intervals,
     quantreg_fit,
     quantreg_pair,
-    residual_pool,
     residual_sigma,
 )
 from binconformal.errors import ConfigurationError, DataError, NumericalError
@@ -36,43 +34,30 @@ LOG = OutcomeTransform.LOG
 LOG1P = OutcomeTransform.LOG1P
 
 
-class TestResidualPool:
-    def test_raw_scale(self):
-        pool = residual_pool([3.0, 5.0], [2.0, 7.0])
-        assert pool.residuals.tolist() == [1.0, -2.0]
-
-    def test_log_scale(self):
-        pool = residual_pool([math.e, math.e**2], [1.0, math.e], LOG)
-        assert pool.residuals == pytest.approx([1.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            residual_pool([1.0], [1.0, 2.0])
-
-
 class TestBootstrap:
     def test_zero_residuals_degenerate(self):
-        pool = ResidualPool(np.zeros(50))
-        iv = bootstrap_intervals([4.2], pool, 0.1, rng=0)[0].segments[0]
+        iv = bootstrap_intervals([4.2], np.zeros(50), 0.1, rng=0)[0].segments[0]
         assert iv == PredictionInterval(4.2, 4.2)
 
     def test_symmetric_two_point_pool(self):
-        pool = ResidualPool(np.array([-1.0, 1.0] * 50))
-        iv = bootstrap_intervals([10.0], pool, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
+        residuals = np.array([-1.0, 1.0] * 50)
+        iv = bootstrap_intervals([10.0], residuals, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
         assert iv.lower == pytest.approx(9.0, abs=1e-9)
         assert iv.upper == pytest.approx(11.0, abs=1e-9)
 
-    def test_log_pool_back_transformed(self):
-        pool = ResidualPool(np.array([-0.1, 0.1] * 50), scale=LOG)
-        iv = bootstrap_intervals([1.0], pool, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
-        assert iv.lower == pytest.approx(math.exp(0.9), abs=1e-9)
-        assert iv.upper == pytest.approx(math.exp(1.1), abs=1e-9)
+    def test_bounds_stay_on_the_residuals_scale(self):
+        # log-scale residuals around a log-scale prediction: the bounds are
+        # not exponentiated here, the pipeline does that
+        residuals = np.array([-0.1, 0.1] * 50)
+        iv = bootstrap_intervals([1.0], residuals, alpha=0.5, n_draws=4000, rng=3)[0].segments[0]
+        assert iv.lower == pytest.approx(0.9, abs=1e-9)
+        assert iv.upper == pytest.approx(1.1, abs=1e-9)
 
     def test_skewed_pool_reflects_into_interval(self):
         # basic form: a long right tail in the errors stretches the LOWER
         # bound, not the upper one
-        pool = ResidualPool(np.array([-1.0] * 80 + [10.0] * 20))
-        iv = bootstrap_intervals([0.0], pool, alpha=0.2, n_draws=4000, rng=6)[0].segments[0]
+        residuals = np.array([-1.0] * 80 + [10.0] * 20)
+        iv = bootstrap_intervals([0.0], residuals, alpha=0.2, n_draws=4000, rng=6)[0].segments[0]
         assert iv.lower == pytest.approx(-10.0, abs=1e-9)
         assert iv.upper == pytest.approx(1.0, abs=1e-9)
 
@@ -86,57 +71,55 @@ class TestBootstrap:
 
     def test_endpoints_stable_under_doubling_draws(self):
         rng = np.random.default_rng(55)
-        pool = ResidualPool(rng.normal(size=200))
-        a = bootstrap_intervals([0.0], pool, 0.1, n_draws=2000, rng=10)[0].segments[0]
-        b = bootstrap_intervals([0.0], pool, 0.1, n_draws=4000, rng=11)[0].segments[0]
+        residuals = rng.normal(size=200)
+        a = bootstrap_intervals([0.0], residuals, 0.1, n_draws=2000, rng=10)[0].segments[0]
+        b = bootstrap_intervals([0.0], residuals, 0.1, n_draws=4000, rng=11)[0].segments[0]
         assert abs(a.lower - b.lower) < 0.1
         assert abs(a.upper - b.upper) < 0.1
 
     def test_same_seed_is_deterministic(self):
-        pool = ResidualPool(np.random.default_rng(2).normal(size=80))
-        a = bootstrap_intervals([1.0], pool, 0.2, rng=42)[0].segments[0]
-        b = bootstrap_intervals([1.0], pool, 0.2, rng=42)[0].segments[0]
+        residuals = np.random.default_rng(2).normal(size=80)
+        a = bootstrap_intervals([1.0], residuals, 0.2, rng=42)[0].segments[0]
+        b = bootstrap_intervals([1.0], residuals, 0.2, rng=42)[0].segments[0]
         assert a == b
 
     def test_batch_matches_independent_columns(self):
-        pool = ResidualPool(np.random.default_rng(4).normal(size=60))
-        ivs = bootstrap_intervals([0.0, 10.0], pool, 0.2, n_draws=2000, rng=9)
+        residuals = np.random.default_rng(4).normal(size=60)
+        ivs = bootstrap_intervals([0.0, 10.0], residuals, 0.2, n_draws=2000, rng=9)
         assert len(ivs) == 2
         # shifting the prediction shifts the interval, width stays comparable
         assert abs(ivs[1].total_width() - ivs[0].total_width()) < 0.5
 
     def test_empty_pool_raises(self):
         with pytest.raises(DataError):
-            bootstrap_intervals([0.0], ResidualPool(np.array([])), 0.1)
+            bootstrap_intervals([0.0], np.array([]), 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_pool_raises(self, bad):
-        pool = ResidualPool(np.array([0.5, bad, -1.0]))
         with pytest.raises(DataError, match="NaN or infinite"):
-            bootstrap_intervals([0.0], pool, 0.1)
+            bootstrap_intervals([0.0], np.array([0.5, bad, -1.0]), 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prediction_raises(self, bad):
         with pytest.raises(DataError, match="bootstrap predictions must be finite"):
-            bootstrap_intervals([bad, 1.0], ResidualPool(np.ones(5)), 0.1)
+            bootstrap_intervals([bad, 1.0], np.ones(5), 0.1)
 
     @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, ((3, 4), 2)])
     def test_invalid_seed_rejected(self, seed):
         with pytest.raises(ConfigurationError, match="seeds must be non-negative integers"):
-            bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, rng=seed)
+            bootstrap_intervals([0.0], np.ones(5), 0.1, rng=seed)
 
     def test_too_few_draws_rejected(self):
         with pytest.raises(ConfigurationError):
-            bootstrap_intervals([0.0], ResidualPool(np.ones(5)), 0.1, n_draws=50)
+            bootstrap_intervals([0.0], np.ones(5), 0.1, n_draws=50)
 
 
-def one_shot_bootstrap(y_hats, pool, alpha, n_draws, rng):
+def one_shot_bootstrap(y_hats, res, alpha, n_draws, rng):
     """The whole-batch bootstrap: one (n, n_draws) draw, one quantile call."""
-    res = pool.residuals
     y_hats = np.asarray(y_hats, dtype=float).ravel()
     idx = np.random.default_rng(rng).integers(0, res.size, size=(y_hats.size, n_draws))
     lo, hi = np.quantile(y_hats[:, None] - res[idx], [alpha / 2, 1 - alpha / 2], axis=1)
-    return pool.scale.inverse(lo), pool.scale.inverse(hi)
+    return lo, hi
 
 
 def assert_same_bytes(batch, lo, hi):
@@ -167,41 +150,39 @@ class TestBootstrapBlocks:
         y[1::5] = -0.0
         for size in (1, 5000):
             residuals = np.zeros(1) if size == 1 else data.normal(size=size)
-            for scale in (IDENTITY, LOG, LOG1P):
-                pool = ResidualPool(residuals, scale)
-                got = bootstrap_intervals(y, pool, 0.1, n_draws, rng=n)
-                assert_same_bytes(got, *one_shot_bootstrap(y, pool, 0.1, n_draws, n))
+            got = bootstrap_intervals(y, residuals, 0.1, n_draws, rng=n)
+            assert_same_bytes(got, *one_shot_bootstrap(y, residuals, 0.1, n_draws, n))
 
     @pytest.mark.parametrize("rows", [1, 64])
     def test_block_size_does_not_change_output(self, monkeypatch, rows):
-        pool = ResidualPool(np.random.default_rng(8).normal(size=300), LOG1P)
+        residuals = np.random.default_rng(8).normal(size=300)
         y = np.random.default_rng(9).normal(size=3 * baselines._block_rows(2000) + 7)
-        default = bootstrap_intervals(y, pool, 0.1, rng=4)
+        default = bootstrap_intervals(y, residuals, 0.1, rng=4)
         monkeypatch.setattr(baselines, "_BLOCK_BYTES", rows * 8 * 2000)
         assert baselines._block_rows(2000) == rows
-        pinned = bootstrap_intervals(y, pool, 0.1, rng=4)
+        pinned = bootstrap_intervals(y, residuals, 0.1, rng=4)
         assert_same_bytes(pinned, default.lower[:, 0], default.upper[:, 0])
 
     def test_shared_generator_continues_the_same_stream(self):
-        pool = ResidualPool(np.random.default_rng(3).normal(size=50))
+        residuals = np.random.default_rng(3).normal(size=50)
         y = np.zeros(baselines._block_rows(2000) + 1)
         rng = np.random.default_rng(12)
-        bootstrap_intervals(y, pool, 0.1, rng=rng)
+        bootstrap_intervals(y, residuals, 0.1, rng=rng)
         oracle = np.random.default_rng(12)
         oracle.integers(0, 50, size=(y.size, 2000))
         assert rng.integers(0, 2**62) == oracle.integers(0, 2**62)
 
     def test_two_dimensional_predictions_are_flattened(self):
-        pool = ResidualPool(np.random.default_rng(5).normal(size=40))
+        residuals = np.random.default_rng(5).normal(size=40)
         y = np.arange(6.0).reshape(2, 3)
-        got = bootstrap_intervals(y, pool, 0.1, rng=2)
-        assert_same_bytes(got, *one_shot_bootstrap(y.ravel(), pool, 0.1, 2000, 2))
+        got = bootstrap_intervals(y, residuals, 0.1, rng=2)
+        assert_same_bytes(got, *one_shot_bootstrap(y.ravel(), residuals, 0.1, 2000, 2))
 
     def test_peak_memory_is_bounded_by_the_block(self):
-        pool = ResidualPool(np.random.default_rng(6).normal(size=3000))
+        residuals = np.random.default_rng(6).normal(size=3000)
         tracemalloc.start()
         try:
-            bootstrap_intervals(np.zeros(10_000), pool, 0.1, rng=1)
+            bootstrap_intervals(np.zeros(10_000), residuals, 0.1, rng=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -213,10 +194,10 @@ class TestBootstrapBlocks:
             raise AssertionError(f"bootstrap_intervals started {thread!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        pool = ResidualPool(np.random.default_rng(7).normal(size=100))
+        residuals = np.random.default_rng(7).normal(size=100)
         y = np.random.default_rng(8).normal(size=2 * baselines._block_rows(2000) + 1)
-        got = bootstrap_intervals(y, pool, 0.1, rng=3)
-        assert_same_bytes(got, *one_shot_bootstrap(y, pool, 0.1, 2000, 3))
+        got = bootstrap_intervals(y, residuals, 0.1, rng=3)
+        assert_same_bytes(got, *one_shot_bootstrap(y, residuals, 0.1, 2000, 3))
 
     @pytest.mark.parametrize("kind, scale", [
         ("bootstrap", IDENTITY), ("bootstrap-log", LOG1P),
@@ -230,10 +211,10 @@ class TestBootstrapBlocks:
         p_test = data.uniform(-1.0, 6.0, size=baselines._block_rows(2000) + 3)
         got = make_intervals(kind, y_true, y_pred, p_test, alpha=0.1,
                              transform=LOG1P, n_draws=2000, rng=5, support_min=0.5)
-        pool = residual_pool(y_true, np.maximum(y_pred, 0.5), scale)
-        lo, hi = one_shot_bootstrap(
-            scale.forward(np.maximum(p_test, 0.5)), pool, 0.1, 2000, 5
-        )
+        residuals = scale.forward(y_true) - scale.forward(np.maximum(y_pred, 0.5))
+        lo, hi = map(scale.inverse, one_shot_bootstrap(
+            scale.forward(np.maximum(p_test, 0.5)), residuals, 0.1, 2000, 5
+        ))
         assert np.any(lo < 0.5) and np.any(hi > 0.5)
         assert_same_bytes(got.sets, np.maximum(0.5, lo), np.maximum(0.5, hi))
 
@@ -269,9 +250,8 @@ class TestRankKernel:
     @given(bootstrap_cases(), st.integers(0, 2**16))
     def test_matches_np_quantile(self, case, seed):
         res, y, alpha, n_draws = case
-        pool = ResidualPool(res)
-        got = bootstrap_intervals(y, pool, alpha, n_draws, rng=seed)
-        assert_same_bytes(got, *one_shot_bootstrap(y, pool, alpha, n_draws, seed))
+        got = bootstrap_intervals(y, res, alpha, n_draws, rng=seed)
+        assert_same_bytes(got, *one_shot_bootstrap(y, res, alpha, n_draws, seed))
 
     def test_mixed_signed_zero_pool_matches_by_value(self):
         # The one case that cannot match byte for byte: at a -0.0
@@ -279,10 +259,10 @@ class TestRankKernel:
         # values whose order after np.quantile's partition depends on
         # where introselect leaves the ties. The rank kernel puts the +0.0
         # residual's outcome (-0.0) below the other.
-        pool = ResidualPool(np.array([-0.0, 0.0]))
+        residuals = np.array([-0.0, 0.0])
         y = np.array([-0.0, -0.0, 0.0, 1.0])
-        got = bootstrap_intervals(y, pool, 0.1, rng=0)
-        lo, hi = one_shot_bootstrap(y, pool, 0.1, 2000, 0)
+        got = bootstrap_intervals(y, residuals, 0.1, rng=0)
+        lo, hi = one_shot_bootstrap(y, residuals, 0.1, 2000, 0)
         assert np.array_equal(got.lower[:, 0], lo)
         assert np.array_equal(got.upper[:, 0], hi)
         assert math.copysign(1.0, got.lower[0, 0]) == -1.0
@@ -329,7 +309,8 @@ class TestLognormalInterval:
         y_true = np.array([math.e, math.e, 1.0, 1.0])
         y_pred = np.ones(4)
         # log residuals are (1, 1, 0, 0): sd with ddof=1 is sqrt(1/3)
-        assert residual_sigma(y_true, y_pred, LOG) == pytest.approx(math.sqrt(1 / 3))
+        residuals = LOG.forward(y_true) - LOG.forward(y_pred)
+        assert residual_sigma(residuals) == pytest.approx(math.sqrt(1 / 3))
 
 
 def brute_count_quantiles(pmf, alpha, k_max=10_000):
@@ -494,7 +475,7 @@ class TestScipyStatsOracle:
         p_test = ORACLE_MEANS
         got = make_intervals("lognormal", y_cal, p_cal, p_test, alpha=alpha,
                              transform=transform).sets
-        sigma = residual_sigma(y_cal, p_cal, transform)
+        sigma = residual_sigma(transform.forward(y_cal) - transform.forward(p_cal))
         z = float(norm.ppf(1 - alpha / 2))
         p_t = transform.forward(p_test)
         floor = transform.support_min

@@ -146,6 +146,10 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+# 36 zeros and 1..4: every quartile of these outcomes is the smallest one
+MOSTLY_ZEROS = [0.0] * 36 + [1.0, 2.0, 3.0, 4.0]
+
+
 class TestIntervalsCommand:
     def test_scp_three_rows_single_segments(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
@@ -197,6 +201,19 @@ class TestIntervalsCommand:
             assert lower >= 0.0
             assert lower == int(lower)
             assert upper == INF or upper == int(upper)
+
+    def test_percentile_bins_at_the_minimum_leave_no_empty_bin(self, tmp_path, capsys):
+        cal, test, out = (tmp_path / f"{name}.csv" for name in ("cal", "test", "iv"))
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  [(i, v, 0.5) for i, v in enumerate(MOSTLY_ZEROS)])
+        write_csv(test, ("row_id", "y_pred"), [("a", 0.5), ("b", 3.0)])
+        assert main([
+            "intervals", "--method", "bccp-d", "--bins", "percentiles:4",
+            "--calibration", str(cal), "--test", str(test), "--out", str(out),
+        ]) == 0
+        assert "reduced to 1" in capsys.readouterr().err
+        _, rows = read_table(out)
+        assert [r["row_id"] for r in rows] == ["a", "b"]
 
     def test_bccp_without_bins_is_config_error(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
@@ -482,6 +499,18 @@ class TestEvaluateCommand:
         assert by_id["a"]["n_segments"] == "2"
         assert by_id["a"]["covered"] == "0"
         assert float(by_id["b"]["total_width"]) == INF
+
+    def test_quartiles_at_the_minimum_leave_no_empty_group(self, tmp_path):
+        ids = [str(i) for i in range(len(MOSTLY_ZEROS))]
+        iv = self.write_intervals(tmp_path, [(i, 0, "0.0", "1.0", "") for i in ids])
+        truth = self.write_truth(tmp_path, zip(ids, MOSTLY_ZEROS))
+        out = tmp_path / "report.csv"
+        assert main([
+            "evaluate", "--intervals", str(iv), "--truth", str(truth),
+            "--group", "quartiles", "--out", str(out),
+        ]) == 0
+        _, rows = read_table(out)
+        assert [(r["group"], r["n"]) for r in rows] == [("aggregate", "40"), ("Q1", "40")]
 
     def test_row_id_mismatch_is_data_error(self, tmp_path):
         iv = self.write_intervals(tmp_path, [("a", 0, "0.0", "1.0", "")])

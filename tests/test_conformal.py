@@ -79,6 +79,13 @@ class TestScpInterval:
         assert cal.quantile == 2.0
         assert scp_interval(5.0, cal) == PredictionInterval(3.0, 7.0)
 
+    def test_global_quantile_is_computed_on_first_read(self):
+        # the pipelines read only the per-bin quantiles
+        cal = calibrate([2.0] * 19, np.zeros(19), 0.1)
+        assert "quantile" not in vars(cal)
+        assert cal.quantile == 2.0 == cal.bin_quantiles[1]
+        assert vars(cal)["quantile"] == 2.0
+
     def test_degenerate_with_zero_quantile(self):
         cal = calibrate([0.0] * 19, np.zeros(19), 0.1)
         assert scp_interval(5.0, cal) == PredictionInterval(5.0, 5.0)

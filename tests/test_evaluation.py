@@ -191,7 +191,8 @@ class TestMakeIntervals:
             "lognormal", y_cal, p_cal, p_test,
             alpha=0.1, transform=OutcomeTransform.LOG,
         )
-        sigma = residual_sigma(y_cal, p_cal, OutcomeTransform.LOG)
+        log = OutcomeTransform.LOG.forward
+        sigma = residual_sigma(log(y_cal) - log(p_cal))
         for s, p in zip(result.sets, p_test):
             expected = lognormal_interval(math.log(p), sigma, 0.1)
             assert s.segments[0].lower == pytest.approx(expected.lower)

@@ -248,6 +248,19 @@ class TestBinsFromPercentiles:
             p = bins_from_percentiles(y, k=4, support_min=0.0)
         assert all(b > 0.0 for b in p.breakpoints)
 
+    def test_breakpoint_at_the_minimum_dropped(self):
+        # without a support floor a breakpoint at the smallest value would
+        # open with the empty bin [-inf, 0.0)
+        y = np.concatenate([np.zeros(36), [1.0, 2.0, 3.0, 4.0]])
+        with pytest.warns(UserWarning, match="collapsed"):
+            p = bins_from_percentiles(y, k=4)
+        assert p.breakpoints == ()
+        y = np.concatenate([np.zeros(20), np.arange(1.0, 21.0)])
+        with pytest.warns(UserWarning, match="reduced to 3"):
+            p = bins_from_percentiles(y, k=4)
+        assert p.breakpoints[0] > 0.0
+        assert np.bincount(p.assign_many(y))[1:].all()
+
     def test_k_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             bins_from_percentiles([1.0, 2.0, 3.0], k=5)

@@ -452,6 +452,23 @@ class TestWriters:
             io.write_intervals_csv(path, ids, batch)
         assert not path.exists()
 
+    @pytest.mark.parametrize("n_flags", [2, 4])
+    def test_intervals_refuse_a_flag_count_mismatch(self, tmp_path, n_flags):
+        path = tmp_path / "iv.csv"
+        batch = IntervalBatch.from_bounds([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match=f"{n_flags} flag tuples for 3 row ids"):
+            io.write_intervals_csv(path, ["a", "b", "c"], batch, [("clamped",)] * n_flags)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n_ids, n_y, n_sets", [(3, 1, 1), (1, 3, 3), (3, 3, 1)])
+    def test_widths_refuse_a_length_mismatch(self, tmp_path, n_ids, n_y, n_sets):
+        # zip would write the shortest of the three without a word
+        path = tmp_path / "widths.csv"
+        batch = IntervalBatch.from_bounds(np.zeros(n_sets), np.ones(n_sets))
+        with pytest.raises(DataError, match=f"{n_ids} row ids, {n_y} outcomes"):
+            io.write_widths_csv(path, list("abc")[:n_ids], np.full(n_y, 0.5), batch)
+        assert not path.exists()
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(WRITTEN_TEXT, DISJOINT, ENDPOINTS.filter(math.isfinite)),

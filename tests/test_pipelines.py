@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from binconformal.errors import ConfigurationError
+from binconformal import baselines
+from binconformal.errors import ConfigurationError, DataError
 from binconformal.intervals import BinPartition, bins_from_cutpoints
 from binconformal.models import OutcomeTransform
 from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
+
+LOG = OutcomeTransform.LOG
 
 
 def test_method_kinds_keep_their_order():
@@ -94,3 +97,50 @@ def test_scp_lower_bound_at_the_support_is_the_raw_support():
         transform=OutcomeTransform.LOG1P, support_min=0.2,
     )
     assert result.sets.lower.ravel().tolist() == [0.2, 0.2]
+
+
+def test_baselines_bind_no_outcome_transform():
+    # every back-transform lives in the pipelines
+    assert OutcomeTransform not in vars(baselines).values()
+
+
+def test_bootstrap_residuals_are_raw_scale_differences():
+    # residuals y_true - y_pred of 1 and -2, subtracted from the prediction
+    result = make_intervals("bootstrap", [3.0, 5.0] * 50, [2.0, 7.0] * 50, [10.0],
+                            alpha=0.5, n_draws=4000, rng=3)
+    segment = result.sets[0].segments[0]
+    assert segment.lower == pytest.approx(9.0, abs=1e-9)
+    assert segment.upper == pytest.approx(12.0, abs=1e-9)
+
+
+def test_bootstrap_log_residuals_and_bounds_are_on_the_log_scale():
+    # log residuals of +-0.1 around a log-scale prediction of 1.0, and the
+    # bounds exponentiated; raw residuals would be about -0.26 and +0.29
+    y_true = np.exp(1.0 + np.array([-0.1, 0.1] * 50))
+    result = make_intervals("bootstrap-log", y_true, np.full(100, math.e), [math.e],
+                            alpha=0.5, transform=LOG, n_draws=4000, rng=3)
+    segment = result.sets[0].segments[0]
+    assert segment.lower == pytest.approx(math.exp(0.9), abs=1e-9)
+    assert segment.upper == pytest.approx(math.exp(1.1), abs=1e-9)
+
+
+def test_bootstrap_log_is_the_clipped_exp_of_the_log_scale_bootstrap():
+    data = np.random.default_rng(21)
+    y_cal = data.lognormal(1.0, 0.8, size=300)
+    p_cal = 1.0 + data.lognormal(1.0, 0.4, size=300)
+    p_test = 1.0 + data.lognormal(0.0, 1.0, size=50)
+    got = make_intervals("bootstrap-log", y_cal, p_cal, p_test, alpha=0.1,
+                         transform=LOG, rng=7, support_min=1.0).sets
+    batch = baselines.bootstrap_intervals(
+        np.log(p_test), np.log(y_cal) - np.log(p_cal), 0.1, rng=7
+    )
+    lower, upper = np.exp(batch.lower), np.exp(batch.upper)
+    assert np.any(lower < 1.0)  # the clip binds
+    assert got.lower.tobytes() == np.maximum(1.0, lower).tobytes()
+    assert got.upper.tobytes() == np.maximum(1.0, upper).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["bootstrap", "bootstrap-log", "lognormal"])
+def test_calibration_length_mismatch_is_data_error(kind):
+    with pytest.raises(DataError, match="lengths differ"):
+        make_intervals(kind, [1.0], [1.0, 2.0], [1.0], alpha=0.1, transform=LOG)
