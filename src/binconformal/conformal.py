@@ -18,10 +18,11 @@ Conventions, fixed here so results are deterministic:
 * Per-bin intervals are cut at the right-open bin edge; when segments from
   adjacent bins touch at a breakpoint the union closes the joint. A
   segment that would consist solely of the excluded right edge is empty.
-* Predictions below the declared support minimum are clamped to it before
-  interval construction. The support minimum, like the partition, is on
-  the scale the scores are computed on; the pipelines map a raw bound
-  there with one rule (``log`` of 0 is -inf).
+* The partition's ``support_min`` is the one support floor: predictions
+  below it are clamped to it before interval construction, and calibration
+  outcomes below it are a DataError. The partition is on the scale the
+  scores are computed on; the pipelines build it once from the raw floor
+  (``log`` of 0 is -inf).
 * A calibration of bare scores ``s`` is ``calibrate(s, np.zeros(n), alpha)``.
 
 The per-row functions (:func:`scp_interval`, :func:`bccp_discontiguous`,
@@ -114,7 +115,6 @@ class ConformalCalibration:
 
     scores: np.ndarray
     alpha: float
-    support_min: float
     bin_quantiles: dict  # 1-based bin index -> per-bin quantile
     partition: BinPartition
     bin_indices: np.ndarray
@@ -129,7 +129,8 @@ class ConformalCalibration:
         return self.scores[self.bin_indices == index]
 
     def clamp(self, y_hat: float) -> float:
-        return y_hat if y_hat >= self.support_min else self.support_min
+        smin = self.partition.support_min
+        return y_hat if y_hat >= smin else smin
 
 
 def calibrate(
@@ -137,18 +138,18 @@ def calibrate(
     y_pred,
     alpha: float,
     *,
-    partition: BinPartition | None = None,
-    support_min: float = -INF,
+    partition: BinPartition = BinPartition(),
     allow_empty_bins: bool = False,
 ) -> ConformalCalibration:
     """Build a conformal calibration from held-out (y_true, y_pred) pairs.
 
     Scores are grouped by the bin of the observed outcome and a per-bin
-    quantile is stored for each bin; without a partition the one bin
-    ``BinPartition((), support_min)`` holds them all. A bin with no
-    calibration records raises unless ``allow_empty_bins`` is set, in
-    which case its quantile is +inf (the whole-bin fallback). NaN or
-    infinite outcomes and predictions raise DataError.
+    quantile is stored for each bin; the default partition is the one bin
+    over the whole real line. An outcome below ``partition.support_min``
+    raises DataError. A bin with no calibration records raises unless
+    ``allow_empty_bins`` is set, in which case its quantile is +inf (the
+    whole-bin fallback). NaN or infinite outcomes and predictions raise
+    DataError.
     """
     alpha = _validate_alpha(alpha)
     yt = require_finite(y_true, "calibration outcomes")
@@ -157,11 +158,7 @@ def calibrate(
         raise DataError(f"y_true ({yt.size}) and y_pred ({yp.size}) lengths differ")
     if yt.size == 0:
         raise DataError("empty calibration: no records")
-    if np.any(yt < support_min):
-        raise DataError("calibration outcome below the declared support minimum")
     scores = np.abs(yt - yp)
-    if partition is None:
-        partition = BinPartition((), support_min)
     bin_indices = partition.assign_many(yt)
     if not allow_empty_bins:
         require_records(partition, bin_indices)
@@ -173,7 +170,6 @@ def calibrate(
     return ConformalCalibration(
         scores=scores,
         alpha=alpha,
-        support_min=float(support_min),
         bin_quantiles=bin_quantiles,
         partition=partition,
         bin_indices=bin_indices,
@@ -184,7 +180,7 @@ def scp_interval(y_hat: float, calibration: ConformalCalibration) -> PredictionI
     """Split conformal interval [y_hat - q, y_hat + q], clipped to the support."""
     y0 = calibration.clamp(float(y_hat))
     q = calibration.quantile
-    lower = max(calibration.support_min, y0 - q)
+    lower = max(calibration.partition.support_min, y0 - q)
     return PredictionInterval(lower, y0 + q)
 
 
@@ -233,10 +229,10 @@ def bccp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
     Returns (n, n_bins) lower and upper arrays, column b-1 holding bin b's
     segment and NaN where the bin contributes none. Slots come in bin
     order, so they are sorted; segments touching at a breakpoint are not
-    merged here. With the one all-support bin of a calibration built
-    without a partition these are the :func:`scp_interval` endpoints.
+    merged here. With a one-bin partition these are the
+    :func:`scp_interval` endpoints.
     """
-    partition, smin = calibration.partition, calibration.support_min
+    partition, smin = calibration.partition, calibration.partition.support_min
     bins = range(1, partition.n_bins + 1)
     lo_bin, hi_bin = np.array([partition.bin_bounds(b) for b in bins]).T
     q = np.array([calibration.bin_quantiles[b] for b in bins])

@@ -301,9 +301,9 @@ def read_interval_batch(path):
     interval file.
 
     A row id's segment lines must be consecutive, and each segment must
-    have non-NaN endpoints with lower <= upper. A row's segments are sorted
-    and merged as :class:`IntervalSet` does; its flags are those of its
-    first line.
+    have non-NaN endpoints with lower <= upper, and be no point at +inf or
+    -inf. A row's segments are sorted and merged as :class:`IntervalSet`
+    does; its flags are those of its first line.
     """
     row_ids, flags, starts, lower, upper = _interval_lines(path)
     return row_ids, _line_batch(starts, lower, upper), flags
@@ -346,13 +346,13 @@ def _interval_lines(path):
     for ids, _, lower_text, upper_text, flags in _read_columns(path, INTERVAL_HEADER):
         lo = _parse_column(lower_text, "lower")
         hi = _parse_column(upper_text, "upper")
-        invalid = ~(lo <= hi)
+        invalid = ~(lo <= hi) | (lo == np.inf) | (hi == -np.inf)
         if invalid.any():
             i = int(invalid.argmax())
             raise DataError(
                 f"{path}: row_id {ids[i]!r} has an invalid segment "
                 f"[{lo[i].item()!r}, {hi[i].item()!r}]: endpoints must be "
-                f"numbers with lower <= upper"
+                f"numbers with lower <= upper, not a point at infinity"
             )
         # a row's first line is where the row id changes, across chunks too
         heads = np.fromiter(

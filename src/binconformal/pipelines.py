@@ -53,8 +53,8 @@ class MethodIntervals:
 @dataclass(frozen=True, eq=False)
 class _Inputs:
     """Validated inputs of one :func:`make_intervals` call, as every
-    builder reads them: finite float arrays, predictions already clamped,
-    ``support_min`` on the raw scale."""
+    builder reads them: finite float arrays, predictions already raised to
+    ``floor``, the call's one support floor on the raw scale."""
 
     y_true_cal: np.ndarray
     y_pred_cal: np.ndarray
@@ -65,18 +65,8 @@ class _Inputs:
     allow_empty_bins: bool
     n_draws: int
     rng: object
-    support_min: float
+    floor: float
     quantreg_design: tuple | None
-
-
-def _clamp_predictions(arr, transform, support_min):
-    """Clamp raw predictions below ``max(support_min, transform.support_min)``
-    to that floor; report which."""
-    floor = max(support_min, transform.support_min)
-    if not math.isfinite(floor):
-        return arr, np.zeros(arr.size, dtype=bool)
-    clamped = arr < floor
-    return np.maximum(arr, floor), clamped
 
 
 def make_intervals(
@@ -102,8 +92,12 @@ def make_intervals(
     regressions are computed on transform(y), and interval endpoints are
     mapped back to the raw outcome scale. ``bins`` is a raw-scale
     partition, required by the bccp-* methods and rejected by every other
-    one. ``support_min`` defaults to the transform's domain minimum; every
-    method clips both endpoints of its intervals at it.
+    one. The call has one support floor, the largest of
+    ``transform.support_min``, ``support_min`` and ``bins.support_min``
+    (an absent one counts as -inf): predictions below it are raised to it
+    and flagged ``clamped``, the conformal bins start at it, and every
+    method clips both endpoints of its intervals at it. A NaN or +inf
+    ``support_min`` raises ConfigurationError.
     ``quantreg_design`` optionally supplies
     (train_features, train_y_raw, test_features); without it the quantile
     regression uses the transformed point prediction as its one regressor,
@@ -120,14 +114,20 @@ def make_intervals(
         raise ConfigurationError(f"method {kind} requires outcome bins")
     if kind not in BINNED_KINDS and bins is not None:
         raise ConfigurationError("bins only apply to the bccp-* methods")
-    smin_raw = transform.support_min if support_min is None else float(support_min)
+    if support_min is not None and not float(support_min) < INF:
+        raise ConfigurationError(
+            f"support_min must be a real number or -inf, got {support_min}"
+        )
+    floor = max(
+        transform.support_min,
+        -INF if support_min is None else float(support_min),
+        -INF if bins is None else bins.support_min,
+    )
     yt_cal = require_finite(y_true_cal, "calibration outcomes")
-    yp_cal, _ = _clamp_predictions(
-        require_finite(y_pred_cal, "calibration predictions"), transform, smin_raw
-    )
-    yp_test, clamped = _clamp_predictions(
-        require_finite(y_pred_test, "test predictions"), transform, smin_raw
-    )
+    yp_cal = np.maximum(require_finite(y_pred_cal, "calibration predictions"), floor)
+    yp_test = require_finite(y_pred_test, "test predictions")
+    clamped = yp_test < floor
+    yp_test = np.maximum(yp_test, floor)
     if yt_cal.size != yp_cal.size:
         raise DataError(
             f"calibration outcomes ({yt_cal.size}) and predictions "
@@ -135,7 +135,7 @@ def make_intervals(
         )
     batch, notes, crossed = BUILDERS[kind](_Inputs(
         yt_cal, yp_cal, yp_test, alpha, transform, bins, allow_empty_bins,
-        n_draws, rng, smin_raw, quantreg_design,
+        n_draws, rng, floor, quantreg_design,
     ))
     if round_counts:
         batch = IntervalBatch.from_slots(
@@ -144,16 +144,6 @@ def make_intervals(
     codes = clamped + 2 * (batch.total_width() == INF) + 4 * crossed
     flags = [FLAG_TUPLES[c] for c in codes.tolist()]
     return MethodIntervals(sets=batch, flags=flags, notes=notes)
-
-
-def _transformed_support(transform, smin_raw):
-    """A raw lower bound on the method's scale; -inf where the transform
-    maps it below every finite value (``log`` of 0 or less)."""
-    if not math.isfinite(smin_raw):
-        return -INF
-    if transform is OutcomeTransform.LOG and smin_raw <= 0:
-        return -INF
-    return float(transform.forward(smin_raw))
 
 
 def _back_transform(lower, upper, transform, snap):
@@ -180,21 +170,20 @@ def _back_transform(lower, upper, transform, snap):
 
 def _conformal(contiguous, inputs):
     # SCP is BCCP-d over the one all-support bin
-    transform = inputs.transform
-    bins = inputs.bins or BinPartition((), inputs.support_min)
+    transform, floor = inputs.transform, inputs.floor
+    bins = BinPartition(inputs.bins.breakpoints if inputs.bins else (), floor)
+    # the same bins on the method's scale; log maps a 0 floor to -inf
     partition = BinPartition(
         map(transform.forward, bins.breakpoints),
-        _transformed_support(transform, bins.support_min),
+        -INF if transform is OutcomeTransform.LOG and floor == 0
+        else transform.forward(floor),
     )
     snap = dict(zip(partition.breakpoints, bins.breakpoints))
-    if math.isfinite(partition.support_min):
-        snap[partition.support_min] = bins.support_min
-    # empty bins are checked against the raw bins, whose bounds the user gave
+    snap[partition.support_min] = floor  # a -inf here is -inf or the log of 0
+    # an empty bin is named by its raw bounds
     cal = calibrate(
         transform.forward(inputs.y_true_cal), transform.forward(inputs.y_pred_cal),
-        inputs.alpha, partition=partition,
-        support_min=_transformed_support(transform, inputs.support_min),
-        allow_empty_bins=True,
+        inputs.alpha, partition=partition, allow_empty_bins=True,
     )
     if not inputs.allow_empty_bins:
         require_records(bins, cal.bin_indices)
@@ -220,8 +209,8 @@ def _log_scale(inputs, method):
 
 
 def _clipped(lower, upper, inputs):
-    """One segment per row, both endpoints raised to ``support_min``."""
-    floor = inputs.support_min
+    """One segment per row, both endpoints raised to the floor."""
+    floor = inputs.floor
     return IntervalBatch.from_bounds(np.maximum(floor, lower), np.maximum(floor, upper))
 
 

@@ -116,7 +116,7 @@ def split(dataset: Dataset, proportions: tuple, seed=0) -> Dataset:
     props = tuple(float(p) for p in proportions)
     if len(props) != 3:
         raise ConfigurationError("proportions must be (train, calibration, test)")
-    if any(p <= 0 for p in props):
+    if any(not p > 0 for p in props):  # NaN too
         raise ConfigurationError(f"all split proportions must be positive: {props}")
     if abs(sum(props) - 1.0) > 1e-9:
         raise ConfigurationError(f"split proportions must sum to 1: {props}")

@@ -149,10 +149,8 @@ class TestCriterion3ConformalGuarantee:
             _, p_cal = predict(model, X_cal)
             _, p_test = predict(model, X_test)
             partition = bins_from_percentiles(y_cal, 2, support_min=0.0)
-            cal_scp = calibrate(y_cal, p_cal, alpha, support_min=0.0)
-            cal_bin = calibrate(
-                y_cal, p_cal, alpha, partition=partition, support_min=0.0
-            )
+            cal_scp = calibrate(y_cal, p_cal, alpha, partition=BinPartition((), 0.0))
+            cal_bin = calibrate(y_cal, p_cal, alpha, partition=partition)
             n_cal = len(y_cal)
             n_bin = int(np.sum(cal_bin.bin_indices == 1))
             scp_covered = [
@@ -241,9 +239,7 @@ class TestCriterion4OracleEquivalence:
                 lo + (hi - lo) * rng.uniform(0.01, 0.99, size=n), [hi + 1.0]
             ])
             y_pred = y_true - np.concatenate([scores, [1.0]])
-            cal_b = calibrate(
-                y_true, y_pred, alpha, partition=partition, support_min=lo
-            )
+            cal_b = calibrate(y_true, y_pred, alpha, partition=partition)
             bin_grid = np.linspace(lo, hi, 700, endpoint=False)
             bstep = bin_grid[1] - bin_grid[0]
             y_hat_b = float(rng.uniform(lo - 2, hi + 2))
@@ -283,10 +279,10 @@ class TestCriterion5StructuralProperties:
             y_true = rng.lognormal(1.0, 0.8, size=n)
             y_pred = np.abs(y_true + rng.normal(0, 1, size=n))
             alpha = float(rng.uniform(0.05, 0.7))
-            plain = calibrate(y_true, y_pred, alpha, support_min=0.0)
+            plain = calibrate(y_true, y_pred, alpha, partition=BinPartition((), 0.0))
             binned = calibrate(
                 y_true, y_pred, alpha,
-                partition=BinPartition((), support_min=0.0), support_min=0.0,
+                partition=BinPartition((), support_min=0.0),
             )
             for y_hat in rng.uniform(0, 15, size=10):
                 via_bins = bccp_discontiguous(y_hat, binned)
@@ -306,7 +302,7 @@ class TestCriterion5StructuralProperties:
             try:
                 cal = calibrate(
                     y_true, y_pred, float(rng.uniform(0.1, 0.5)),
-                    partition=partition, support_min=0.0,
+                    partition=partition,
                 )
             except Exception:
                 continue  # a random cut left a bin empty; not this test's target

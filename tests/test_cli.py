@@ -113,6 +113,15 @@ class TestSimulate:
         assert "calibration part" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_proportion_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--dgp", "lognormal", "--n", "100",
+            "--proportions", "0.5,0.5,nan", "--out", str(out),
+        ]) == 2
+        assert "proportions must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_prob_for_lognormal_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
         assert main([
@@ -548,7 +557,7 @@ class TestEvaluateCommand:
         assert "'b'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lower, upper", [
-        ("2.0", "1.0"), ("nan", "1.0"), ("0.0", "nan"),
+        ("2.0", "1.0"), ("nan", "1.0"), ("0.0", "nan"), ("inf", "inf"), ("-inf", "-inf"),
     ])
     def test_invalid_segment_is_data_error_naming_row(self, tmp_path, capsys, lower, upper):
         iv = self.write_intervals(tmp_path, [

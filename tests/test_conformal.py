@@ -27,7 +27,7 @@ def two_bin_calibration(alpha=0.1, score1=1.0, score2=5.0, n_per_bin=19):
     partition = bins_from_cutpoints([10.0], support_min=0.0)
     y_true = np.array([5.0] * n_per_bin + [15.0] * n_per_bin)
     y_pred = np.array([5.0 - score1] * n_per_bin + [15.0 - score2] * n_per_bin)
-    return calibrate(y_true, y_pred, alpha, partition=partition, support_min=0.0)
+    return calibrate(y_true, y_pred, alpha, partition=partition)
 
 
 class TestFiniteSampleQuantile:
@@ -91,11 +91,11 @@ class TestScpInterval:
         assert scp_interval(5.0, cal) == PredictionInterval(5.0, 5.0)
 
     def test_infinite_quantile_clipped_to_support(self):
-        cal = calibrate([1.0], np.zeros(1), 0.1, support_min=0.0)
+        cal = calibrate([1.0], np.zeros(1), 0.1, partition=BinPartition((), 0.0))
         assert scp_interval(5.0, cal) == PredictionInterval(0.0, INF)
 
     def test_prediction_below_support_clamped(self):
-        cal = calibrate([2.0] * 19, np.zeros(19), 0.1, support_min=0.0)
+        cal = calibrate([2.0] * 19, np.zeros(19), 0.1, partition=BinPartition((), 0.0))
         assert scp_interval(-3.0, cal) == PredictionInterval(0.0, 2.0)
 
 
@@ -110,7 +110,7 @@ class TestCalibrate:
 
     def test_outcome_below_support(self):
         with pytest.raises(DataError):
-            calibrate([-1.0, 2.0], [0.0, 2.0], 0.1, support_min=0.0)
+            calibrate([-1.0, 2.0], [0.0, 2.0], 0.1, partition=BinPartition((), 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_outcome_or_prediction_rejected(self, bad):
@@ -123,14 +123,13 @@ class TestCalibrate:
     def test_empty_bin_raises_by_default(self):
         partition = bins_from_cutpoints([10.0], support_min=0.0)
         with pytest.raises(DataError, match="bin 2"):
-            calibrate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.1, partition=partition,
-                      support_min=0.0)
+            calibrate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.1, partition=partition)
 
     def test_empty_bin_fallback_spans_whole_bin(self):
         partition = bins_from_cutpoints([10.0], support_min=0.0)
         cal = calibrate(
             np.linspace(1, 9, 25), np.linspace(1, 9, 25) + 0.5, 0.1,
-            partition=partition, support_min=0.0, allow_empty_bins=True,
+            partition=partition, allow_empty_bins=True,
         )
         assert cal.bin_quantiles[2] == INF
         assert bccp_per_bin_interval(5.0, 2, cal) == PredictionInterval(10.0, INF)
@@ -138,8 +137,7 @@ class TestCalibrate:
     def test_scores_follow_true_outcome_bins(self):
         partition = bins_from_cutpoints([10.0], support_min=0.0)
         # y_true=5 in bin 1 even though y_pred=15 is in bin 2
-        cal = calibrate([5.0, 15.0], [15.0, 5.0], 0.5, partition=partition,
-                        support_min=0.0)
+        cal = calibrate([5.0, 15.0], [15.0, 5.0], 0.5, partition=partition)
         assert list(cal.bin_indices) == [1, 2]
 
 
@@ -160,7 +158,7 @@ class TestBccpPerBin:
         partition = bins_from_cutpoints([10.0], support_min=0.0)
         cal = calibrate(
             [5.0] * 19 + [15.0], [4.0] * 19 + [14.0], 0.1,
-            partition=partition, support_min=0.0,
+            partition=partition,
         )
         assert cal.bin_quantiles[2] == INF
         assert bccp_per_bin_interval(2.0, 2, cal) == PredictionInterval(10.0, INF)
@@ -185,7 +183,8 @@ class TestBccpPerBin:
         # a calibration built without bins holds the one all-support bin,
         # and BCCP over it is SCP to the sign of a zero: a -0.0 prediction
         # meeting a zero quantile at an edge of 0 gives a lower bound of 0.0
-        cal = calibrate(scores, np.zeros(len(scores)), 0.1, support_min=support)
+        cal = calibrate(scores, np.zeros(len(scores)), 0.1,
+                        partition=BinPartition((), support))
         assert cal.partition == BinPartition((), support)
         for y_hat in (-0.0, 0.0, -1.0, 2.0, 1e300):
             want = scp_interval(y_hat, cal)
@@ -231,9 +230,8 @@ class TestBccpCombined:
             y_pred = np.abs(y_true + rng.normal(scale=0.8, size=n))
             alpha = rng.uniform(0.05, 0.6)
             partition = BinPartition((), support_min=0.0)
-            binned = calibrate(y_true, y_pred, alpha, partition=partition,
-                               support_min=0.0)
-            plain = calibrate(y_true, y_pred, alpha, support_min=0.0)
+            binned = calibrate(y_true, y_pred, alpha, partition=partition)
+            plain = calibrate(y_true, y_pred, alpha, partition=BinPartition((), 0.0))
             for y_hat in rng.uniform(0, 20, size=5):
                 via_bins = bccp_discontiguous(y_hat, binned)
                 assert via_bins.n_segments == 1
@@ -244,7 +242,7 @@ class TestBccpCombined:
         partition = bins_from_cutpoints([2.0, 5.0, 11.0], support_min=0.0)
         y_true = rng.uniform(0, 20, size=120)
         y_pred = rng.uniform(0, 20, size=120)
-        cal = calibrate(y_true, y_pred, 0.2, partition=partition, support_min=0.0)
+        cal = calibrate(y_true, y_pred, 0.2, partition=partition)
         for y_hat in rng.uniform(0, 20, size=40):
             disc = bccp_discontiguous(y_hat, cal)
             cont = bccp_contiguous(y_hat, cal)
@@ -301,7 +299,8 @@ class TestMarginalValidity:
         for _ in range(reps):
             y_cal = rng.lognormal(mean=1.0, sigma=0.7, size=n_cal)
             y_test = rng.lognormal(mean=1.0, sigma=0.7, size=n_test)
-            cal = calibrate(y_cal, np.full(n_cal, 2.0), alpha, support_min=0.0)
+            cal = calibrate(y_cal, np.full(n_cal, 2.0), alpha,
+                            partition=BinPartition((), 0.0))
             iv = scp_interval(2.0, cal)
             rates.append(np.mean([iv.contains(y) for y in y_test]))
         mean_rate = float(np.mean(rates))

@@ -136,11 +136,11 @@ def oracle_read_intervals_csv(path):
             previous = rid
         lower = io.parse_real(r["lower"], "lower")
         upper = io.parse_real(r["upper"], "upper")
-        if not lower <= upper:
+        if not lower <= upper or lower == INF or upper == -INF:
             raise DataError(
                 f"{path}: row_id {rid!r} has an invalid segment "
                 f"[{lower!r}, {upper!r}]: endpoints must be numbers with "
-                f"lower <= upper"
+                f"lower <= upper, not a point at infinity"
             )
         segments[rid].append(PredictionInterval(lower, upper))
     sets = {rid: IntervalSet(tuple(segs)) for rid, segs in segments.items()}
@@ -324,6 +324,9 @@ DEFECTS = [
     with_token("truth", "row_id", "0"),
     defect("intervals", "row-not-consecutive",
            lambda h, r: (h, r + [("a", "2", "5.0", "6.0", "")])),
+    *[defect("intervals", f"point-at-{end}",
+             lambda h, r, end=end: (h, r + [("c", "0", end, end, "")]))
+      for end in ("inf", "-inf")],
     *[defect(name, "empty-file", lambda h, r: (None, [])) for name in READERS],
     *[defect(name, "header-only", lambda h, r: (h, [])) for name in READERS],
     *[defect(name, "missing-column", lambda h, r: (h[:-1], [v[:-1] for v in r]))

@@ -58,14 +58,19 @@ def same_set(a: IntervalSet, b: IntervalSet) -> bool:
     )
 
 
-def oracle_rows(kind, y_cal, p_cal, p_test, alpha, transform, bins, round_counts):
+def oracle_rows(kind, y_cal, p_cal, p_test, alpha, transform, bins, round_counts,
+                support_min=None):
     """Intervals and flags built one row at a time, the reference way."""
-    floor = transform.support_min
-    p_cal = np.asarray(p_cal, dtype=float)
+    # the one floor: the largest of the transform's, the caller's and the bins'
+    floor = max(
+        transform.support_min,
+        -INF if support_min is None else support_min,
+        -INF if bins is None else bins.support_min,
+    )
+    p_cal = np.maximum(np.asarray(p_cal, dtype=float), floor)
     p_test = np.asarray(p_test, dtype=float)
-    clamped = p_test < floor if math.isfinite(floor) else np.zeros(p_test.size, bool)
-    if math.isfinite(floor):
-        p_cal, p_test = np.maximum(p_cal, floor), np.maximum(p_test, floor)
+    clamped = p_test < floor
+    p_test = np.maximum(p_test, floor)
 
     def on_scale(raw):
         # a raw lower bound on the method's scale: log maps 0 to -inf
@@ -73,19 +78,18 @@ def oracle_rows(kind, y_cal, p_cal, p_test, alpha, transform, bins, round_counts
             return -INF
         return float(transform.forward(raw))
 
-    partition, snap = None, {}
-    if bins is not None:
-        partition = BinPartition(
-            tuple(float(transform.forward(b)) for b in bins.breakpoints),
-            on_scale(bins.support_min),
-        )
-        if transform is not IDENTITY:
-            snap = dict(zip(partition.breakpoints, bins.breakpoints))
-            if math.isfinite(partition.support_min):
-                snap[partition.support_min] = bins.support_min
+    cutpoints = () if bins is None else bins.breakpoints
+    partition = BinPartition(
+        tuple(float(transform.forward(b)) for b in cutpoints), on_scale(floor)
+    )
+    snap = {}
+    if transform is not IDENTITY:
+        snap = dict(zip(partition.breakpoints, cutpoints))
+        if math.isfinite(partition.support_min):
+            snap[partition.support_min] = floor
     cal = calibrate(
         transform.forward(y_cal), transform.forward(p_cal), alpha,
-        partition=partition, support_min=on_scale(floor), allow_empty_bins=True,
+        partition=partition, allow_empty_bins=True,
     )
 
     def back(v):
@@ -123,18 +127,25 @@ def conformal_cases(draw):
         y_cal = np.exp(rng.normal(1.0, 1.0, size=n))
     else:  # zero-inflated counts
         y_cal = np.where(rng.random(n) < 0.5, 0.0, rng.integers(1, 60, size=n)).astype(float)
+    # the caller's floor and the bins' are drawn apart; the calibration
+    # outcomes are raised to the larger so that most cases calibrate
+    support = transform.support_min
+    support_min = draw(st.sampled_from([None, -INF, -1.0, 0.0, 0.5]))
+    bins_min = draw(st.sampled_from([support, -1.0, 0.0, 0.5]))
+    floor = max(-INF if support_min is None else support_min,
+                bins_min if kind != "scp" else -INF)
+    y_cal = np.maximum(y_cal, floor)
     p_cal = y_cal + rng.normal(0.0, draw(st.sampled_from([0.0, 0.5, 3.0])), size=n)
     if transform is not IDENTITY:
         p_cal = np.abs(p_cal) + (1e-3 if transform is LOG else 0.0)
     cutpoints = ()
     if kind != "scp":
         pool = [1.0, 3.0, 8.0, 21.0, 55.0] if transform is LOG1P else list(np.unique(y_cal))
-        lo = 0.0 if transform is not IDENTITY else -INF
+        lo = max(floor, support)
         pool = [c for c in pool if c > lo]
         if pool:
             cutpoints = tuple(sorted(set(draw(st.lists(
                 st.sampled_from(pool), min_size=1, max_size=4)))))
-    support = transform.support_min
     specials = [1e-9 if transform is LOG else 0.0, -1.0, -0.0]
     for c in cutpoints:
         specials += [c, float(np.nextafter(c, -INF)), float(np.nextafter(c, INF))]
@@ -145,10 +156,11 @@ def conformal_cases(draw):
     if transform is LOG:
         p_test = np.where(p_test > 0, p_test, 1e-9)
     alpha = draw(st.sampled_from([0.05, 0.1, 0.2, 0.35]))
-    bins = bins_from_cutpoints(cutpoints, support) if kind != "scp" else None
+    bins = bins_from_cutpoints(cutpoints, bins_min) if kind != "scp" else None
     return dict(
         kind=kind, y_cal=y_cal, p_cal=p_cal, p_test=p_test, alpha=alpha,
         transform=transform, bins=bins, round_counts=draw(st.booleans()),
+        support_min=support_min,
     )
 
 
@@ -157,6 +169,7 @@ def kernel_rows(case):
         case["kind"], case["y_cal"], case["p_cal"], case["p_test"],
         alpha=case["alpha"], transform=case["transform"], bins=case["bins"],
         round_counts=case["round_counts"], allow_empty_bins=True,
+        support_min=case.get("support_min"),
     )
 
 
@@ -218,9 +231,9 @@ class TestKernelMatchesOracle:
             y_cal = np.abs(y_cal)
         p_cal = y_cal + noise * rng.normal(size=y_cal.size)
         partition = bins_from_cutpoints(sorted({c for c in cuts if c > support}), support)
-        plain = calibrate(y_cal, p_cal, alpha, support_min=support)
+        plain = calibrate(y_cal, p_cal, alpha, partition=BinPartition((), support))
         binned = calibrate(
-            y_cal, p_cal, alpha, partition=partition, support_min=support,
+            y_cal, p_cal, alpha, partition=partition,
             allow_empty_bins=True,
         )
         y_hats = [-0.0, 0.0, -1.0, 40.0, *rng.uniform(-3.0, 35.0, size=5)]
@@ -282,7 +295,8 @@ class TestNestingInAlpha:
         a1, a2 = sorted((case["alpha"], other))
         args = (case["kind"], case["y_cal"], case["p_cal"], case["p_test"])
         kwargs = dict(transform=case["transform"], bins=case["bins"],
-                      round_counts=case["round_counts"], allow_empty_bins=True)
+                      round_counts=case["round_counts"], allow_empty_bins=True,
+                      support_min=case["support_min"])
         wide = make_intervals(*args, alpha=a1, **kwargs).sets
         narrow = make_intervals(*args, alpha=a2, **kwargs).sets
         for i, (outer, inner) in enumerate(zip(wide, narrow)):

@@ -48,16 +48,40 @@ def test_alpha_outside_unit_interval_rejected_for_every_kind(kind, alpha):
 def test_prediction_below_support_is_clamped_and_flagged_on_the_log_scale(kind):
     rng = np.random.default_rng(5)
     y = 1.0 + rng.gamma(2.0, 2.0, size=60)
-    bins = bins_from_cutpoints([3.0], support_min=1.0) if kind in BINNED_KINDS else None
-    result = make_intervals(
-        kind, y, y * rng.uniform(0.8, 1.2, size=60), [0.5, 1.0], alpha=0.1,
-        transform=OutcomeTransform.LOG, bins=bins, support_min=1.0, rng=0,
+    p_cal = y * rng.uniform(0.8, 1.2, size=60)
+    # the floor is the larger of support_min and the bins' support, each
+    # side binding in turn
+    for support_min, bins_min in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+        bins = bins_from_cutpoints([3.0], bins_min) if kind in BINNED_KINDS else None
+        floor = max(support_min, -math.inf if bins is None else bins_min)
+        result = make_intervals(
+            kind, y, p_cal, [0.5, 1.0], alpha=0.1,
+            transform=OutcomeTransform.LOG, bins=bins, support_min=support_min, rng=0,
+        )
+        assert ("clamped" in result.flags[0]) == (floor == 1.0)
+        assert "clamped" not in result.flags[1]
+        assert np.nanmin(result.sets.lower) >= floor
+        # each bootstrap row draws anew
+        if floor == 1.0 and not kind.startswith("bootstrap"):
+            assert result.sets[0] == result.sets[1]
+    # a support_min below the transform's own is that of the transform
+    bins = bins_from_cutpoints([3.0], 0.0) if kind in BINNED_KINDS else None
+    below, at = (
+        make_intervals(
+            kind, y, p_cal, [-0.5, 0.5, 4.0], alpha=0.1,
+            transform=OutcomeTransform.LOG1P, bins=bins, support_min=smin, rng=0,
+        )
+        for smin in (-1.0, 0.0)
     )
-    assert "clamped" in result.flags[0]
-    assert "clamped" not in result.flags[1]
-    assert np.nanmin(result.sets.lower) >= 1.0
-    if not kind.startswith("bootstrap"):  # each bootstrap row draws anew
-        assert result.sets[0] == result.sets[1]
+    assert below.sets.lower.tobytes() == at.sets.lower.tobytes()
+    assert below.sets.upper.tobytes() == at.sets.upper.tobytes()
+    assert below.flags == at.flags
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="support_min"):
+            make_intervals(
+                kind, y, p_cal, [1.0], alpha=0.1,
+                transform=OutcomeTransform.LOG, bins=bins, support_min=bad, rng=0,
+            )
 
 
 @pytest.mark.parametrize("n_cal", [5, 60])

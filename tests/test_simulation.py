@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,8 @@ class TestSplit:
             split(ds, (0.7, 0.3, 0.0), seed=1)
         with pytest.raises(ConfigurationError):
             split(ds, (0.7, 0.2, 0.2), seed=1)
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            split(ds, (0.5, 0.5, math.nan), seed=1)
 
 
 class TestDerivedStreams:
