@@ -236,7 +236,8 @@ def residual_sigma(residuals) -> float:
 def _count_quantiles(mus, alpha: float, what: str, quantile) -> IntervalBatch:
     """Central [alpha/2, 1-alpha/2] intervals from ``quantile(q, means)``,
     the ``_ppf`` of a scipy.stats count distribution; a zero mean gives
-    [0, 0]."""
+    [0, 0], and an alpha so small that 1 - alpha/2 rounds to 1 gives an
+    upper bound of +inf."""
     alpha = _validate_alpha(alpha)
     mus = require_finite(mus, f"{what} means")
     if np.any(mus < 0):
@@ -248,7 +249,8 @@ def _count_quantiles(mus, alpha: float, what: str, quantile) -> IntervalBatch:
         # rv_discrete.ppf returns _ppf(q, ...) + loc for q in (0, 1), and
         # its loc of 0 turns a -0.0 into 0.0
         lo[positive] = quantile(alpha / 2, mus[positive]) + 0.0
-        hi[positive] = quantile(1 - alpha / 2, mus[positive]) + 0.0
+        q_hi = 1 - alpha / 2
+        hi[positive] = math.inf if q_hi == 1.0 else quantile(q_hi, mus[positive]) + 0.0
         failed = np.isnan(lo) | np.isnan(hi)
         if np.any(failed):
             raise NumericalError(

@@ -5,10 +5,12 @@ prediction intervals from calibration and test CSVs), ``evaluate`` (score
 an interval file against true outcomes), ``report`` (run a replicated
 study end to end).
 
-Every command is deterministic given its flags; outputs embed the resolved
-configuration as a leading comment line; method notes and warnings (such as
-collapsed percentile bins) go to stderr as ``note:`` lines. Exit codes: 0
-success, 2 configuration error, 3 data error, 4 numerical error.
+Every command is deterministic given its flags; outputs embed their
+configuration as a leading comment line (the parsed flags of ``intervals``
+and ``evaluate`` bar the file paths, the resolved values of ``simulate``
+and ``report``); method notes and warnings (such as collapsed percentile
+bins) go to stderr as ``note:`` lines. Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numerical error.
 """
 
 import argparse
@@ -27,6 +29,11 @@ from .intervals import bins_from_spec
 from .models import OutcomeTransform
 from .pipelines import METHOD_KINDS, make_intervals
 from .simulation import STREAM_METHOD, derive_rng, generate, split
+
+
+# the file-path flags of ``intervals`` and ``evaluate``; every other flag
+# they parse goes into the output's ``# config:`` line
+PATH_FLAGS = ("calibration", "test", "intervals", "truth", "out", "widths_out")
 
 
 def _parse_proportions(text: str) -> tuple:
@@ -158,13 +165,7 @@ def cmd_intervals(args) -> int:
     )
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
-    config = {
-        "command": "intervals", "method": args.method, "alpha": alpha,
-        "bins": args.bins, "transform": args.transform, "seed": args.seed,
-        "bootstrap_b": args.bootstrap_b, "round_counts": args.round_counts,
-        "allow_empty_bins": args.allow_empty_bins,
-        "grid_resolution": args.grid_resolution,
-    }
+    config = {k: v for k, v in vars(args).items() if k not in PATH_FLAGS}
     io.write_intervals_csv(args.out, test_ids, result.sets, result.flags, config)
     return 0
 
@@ -210,10 +211,7 @@ def cmd_evaluate(args) -> int:
             args.method_name, group, t.n, t.coverage, se,
             t.mean_width, t.inf_width_count, t.discontiguity_rate,
         ))
-    config = {
-        "command": "evaluate", "group": args.group, "bins": args.bins,
-        "method_name": args.method_name,
-    }
+    config = {k: v for k, v in vars(args).items() if k not in PATH_FLAGS}
     io.write_report_rows_csv(args.out, rows, config)
     if args.widths_out:
         io.write_widths_csv(args.widths_out, order, y_true, intervals, config)
@@ -228,6 +226,7 @@ def cmd_report(args) -> int:
     overrides = {
         "replications": args.replications, "base_seed": args.seed, "n": args.n,
         "alpha": args.alpha, "zero_prob": args.zero_prob,
+        "bootstrap_draws": args.bootstrap_b,
     }
     config = STUDIES[args.study](
         **{key: value for key, value in overrides.items() if value is not None}
@@ -243,8 +242,6 @@ def cmd_report(args) -> int:
         config = replace(
             config, methods=tuple(m for m in config.methods if m.name in keep)
         )
-    if args.bootstrap_b is not None:
-        config = replace(config, bootstrap_draws=args.bootstrap_b)
     report = run_replications(config)
     io.write_report_csv(args.out, report)
     return 0

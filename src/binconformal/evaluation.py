@@ -9,7 +9,7 @@ replicates.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -314,20 +314,18 @@ FOUR_BIN_CUTPOINTS = (1.0, 8.0, 55.0)
 TWO_BIN_CUTPOINTS = (1.0,)
 
 
-def lognormal_study(
-    replications: int = 100,
-    base_seed: int = 20240501,
-    n: int = 10_000,
-    alpha: float = 0.1,
-    methods: tuple | None = None,
-) -> StudyConfig:
+def lognormal_study(**changes) -> StudyConfig:
     """Right-skewed continuous study: log-scale OLS, raw-scale conformal.
 
     Coverage is reported in aggregate and across the empirical quartiles
-    of the test outcomes.
+    of the test outcomes. ``changes`` replace any ``StudyConfig`` field.
     """
-    if methods is None:
-        methods = (
+    return replace(StudyConfig(
+        dgp="lognormal",
+        n=10_000,
+        proportions=(0.5, 0.25, 0.25),
+        alpha=0.1,
+        methods=(
             MethodSpec("scp", "scp", IDENTITY),
             MethodSpec("bccp-c-2", "bccp-c", IDENTITY, n_bins=2),
             MethodSpec("bccp-c-4", "bccp-c", IDENTITY, n_bins=4),
@@ -339,42 +337,33 @@ def lognormal_study(
             MethodSpec("bootstrap-log", "bootstrap-log", LOG),
             MethodSpec("lognormal", "lognormal", LOG),
             MethodSpec("quantreg", "quantreg", LOG),
-        )
-    return StudyConfig(
-        dgp="lognormal",
-        n=n,
-        proportions=(0.5, 0.25, 0.25),
-        alpha=alpha,
-        methods=tuple(methods),
-        replications=replications,
-        base_seed=base_seed,
+        ),
+        replications=100,
+        base_seed=20240501,
         model_transform=LOG,
         grouping=QUARTILES,
         support_min=0.0,
-    )
+    ), **changes)
 
 
-def zicount_study(
-    replications: int = 50,
-    base_seed: int = 20240502,
-    n: int = 40_000,
-    alpha: float = 0.1,
-    zero_prob: float = 0.867,
-    methods: tuple | None = None,
-    grouping: tuple = TWO_BIN_CUTPOINTS,
-) -> StudyConfig:
+def zicount_study(**changes) -> StudyConfig:
     """Zero-inflated count study: log1p OLS, log1p-scale intervals.
 
     Coverage is reported for true zeros versus non-zeros by default; pass
-    ``grouping=SEVEN_BIN_CUTPOINTS`` for the per-bin view. Interval bounds
-    are NOT rounded to integers here: with a weak point model, half-up
-    rounding pulls every near-zero lower bound down to 0 and inflates
-    zero-bin coverage far above the nominal level, defeating the
-    bin-conditional calibration this study measures. Rounding stays
-    available as a CLI option for count-scale outputs.
+    ``grouping=SEVEN_BIN_CUTPOINTS`` for the per-bin view (``changes``
+    replace any ``StudyConfig`` field). Interval bounds are NOT rounded
+    to integers here: with a weak point model, half-up rounding pulls
+    every near-zero lower bound down to 0 and inflates zero-bin coverage
+    far above the nominal level, defeating the bin-conditional
+    calibration this study measures. Rounding stays available as a CLI
+    option for count-scale outputs.
     """
-    if methods is None:
-        methods = (
+    return replace(StudyConfig(
+        dgp="zicount",
+        n=40_000,
+        proportions=(0.7, 0.2, 0.1),
+        alpha=0.1,
+        methods=(
             MethodSpec("scp", "scp", LOG1P),
             MethodSpec("bccp-d-2", "bccp-d", LOG1P, cutpoints=TWO_BIN_CUTPOINTS),
             MethodSpec("bccp-d-4", "bccp-d", LOG1P, cutpoints=FOUR_BIN_CUTPOINTS),
@@ -385,21 +374,14 @@ def zicount_study(
             MethodSpec("negbinom", "negbinom", IDENTITY),
             MethodSpec("poisson", "poisson", IDENTITY),
             MethodSpec("quantreg", "quantreg", LOG1P),
-        )
-    return StudyConfig(
-        dgp="zicount",
-        n=n,
-        proportions=(0.7, 0.2, 0.1),
-        alpha=alpha,
-        methods=tuple(methods),
-        replications=replications,
-        base_seed=base_seed,
+        ),
+        replications=50,
+        base_seed=20240502,
         model_transform=LOG1P,
-        grouping=tuple(grouping),
+        grouping=TWO_BIN_CUTPOINTS,
         support_min=0.0,
-        round_counts=False,
-        zero_prob=zero_prob,
-    )
+        zero_prob=0.867,
+    ), **changes)
 
 
 # study presets by the name of their data generator

@@ -400,6 +400,20 @@ class TestCountIntervals:
         with pytest.raises(ConfigurationError, match="alpha must be strictly inside"):
             negbinom_intervals([2.0], 1.0, alpha)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300])
+    def test_alpha_below_double_resolution_has_unbounded_upper(self, alpha):
+        # 1 - alpha/2 rounds to 1.0, whose quantile is +inf; scipy is not
+        # asked for it, and a zero mean keeps [0, 0]
+        mus, theta = np.array([0.0, 0.5, 4.0, 1e6]), 2.0
+        for batch, oracle in (
+            (poisson_intervals(mus, alpha), poisson.ppf(alpha / 2, mus[1:])),
+            (negbinom_intervals(mus, theta, alpha),
+             nbinom.ppf(alpha / 2, theta, theta / (theta + mus[1:]))),
+        ):
+            assert batch[0].segments[0] == PredictionInterval(0, 0)
+            assert batch.lower[1:, 0].tolist() == oracle.tolist()
+            assert batch.upper[1:, 0].tolist() == [math.inf] * 3
+
     def test_poisson_mean_scipy_cannot_invert_is_numerical_error(self):
         # pdtrik returns NaN from a mean of about 1e11; 1e10 still works
         assert np.all(np.isfinite(poisson_intervals([1e10], 0.1).upper))

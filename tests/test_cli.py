@@ -31,6 +31,12 @@ def read_table(path):
     return header, [dict(zip(header, r)) for r in body]
 
 
+def config_line(path):
+    header = Path(path).read_text().splitlines()[0]
+    assert header.startswith("# config: ")
+    return json.loads(header[len("# config: "):])
+
+
 # (bytes after the header, expected text of the error): a byte that is not
 # UTF-8, and a field past the csv module's default 131,072-character limit
 MALFORMED_CSV = [
@@ -418,6 +424,31 @@ class TestIntervalsCommand:
         assert "mean 100000000000.0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("transform", ["identity", "log", "log1p"])
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    @pytest.mark.parametrize("method", ["poisson", "negbinom"])
+    def test_count_method_at_alpha_below_double_resolution(
+        self, tmp_path, capsys, method, alpha, transform
+    ):
+        # 1 - alpha/2 rounds to 1.0: every positive mean gets [q_lo, inf]
+        rng = np.random.default_rng(8)
+        y = rng.negative_binomial(2, 0.2, size=200) + 1.0
+        cal, test, out = (tmp_path / f"{name}.csv" for name in ("cal", "test", "iv"))
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  zip(range(200), y, np.full(200, y.mean())))
+        write_csv(test, ("row_id", "y_pred"), [("z", 0.0), ("a", 0.5), ("b", 9.0)])
+        assert main([
+            "intervals", "--method", method, "--alpha", alpha, "--transform", transform,
+            "--calibration", str(cal), "--test", str(test), "--out", str(out),
+        ]) == 0
+        assert "no overdispersion" not in capsys.readouterr().err
+        _, rows = read_table(out)
+        by_id = {r["row_id"]: r for r in rows}
+        assert (by_id["z"]["lower"], by_id["z"]["upper"]) == ("0.0", "0.0")
+        for rid in ("a", "b"):
+            assert float(by_id[rid]["upper"]) == INF
+            assert "unbounded" in by_id[rid]["flags"]
+
     def test_same_seed_byte_identical(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -672,6 +703,14 @@ class TestReportCommand:
         header = out.read_text().splitlines()[0]
         assert json.loads(header[len("# config: "):])["zero_prob"] == 0.5
 
+    def test_bootstrap_b_sets_the_draw_count(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main([
+            "report", "--study", "lognormal", "--replications", "1", "--n", "400",
+            "--methods", "bootstrap", "--bootstrap-b", "150", "--out", str(out),
+        ]) == 0
+        assert config_line(out)["bootstrap_draws"] == 150
+
     def test_empty_bin_error_names_the_raw_bin(self, tmp_path, capsys):
         assert main([
             "report", "--study", "zicount", "--replications", "1", "--n", "200",
@@ -695,6 +734,35 @@ class TestReportCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestConfigLines:
+    def test_intervals_and_evaluate_record_every_non_path_flag(self, tmp_path):
+        rng = np.random.default_rng(4)
+        y = rng.negative_binomial(2, 0.2, size=120).astype(float)
+        cal, test, iv, report, widths = (
+            tmp_path / f"{name}.csv" for name in ("cal", "test", "iv", "report", "widths")
+        )
+        write_csv(cal, ("row_id", "y_true", "y_pred"), zip(range(120), y, y + 0.5))
+        write_csv(test, ("row_id", "y_pred", "y_true"), [("a", 0.5, 0.0), ("b", 12.0, 9.0)])
+        assert main([
+            "intervals", "--method", "bccp-d", "--bins", "1,8", "--transform", "log1p",
+            "--seed", "3", "--round-counts", "--calibration", str(cal),
+            "--test", str(test), "--out", str(iv),
+        ]) == 0
+        assert main([
+            "evaluate", "--intervals", str(iv), "--truth", str(test), "--out", str(report),
+            "--group", "bins", "--bins", "1", "--method-name", "m",
+            "--widths-out", str(widths),
+        ]) == 0
+        assert config_line(iv) == {
+            "command": "intervals", "method": "bccp-d", "alpha": 0.1, "bins": "1,8",
+            "transform": "log1p", "seed": 3, "bootstrap_b": 2000, "round_counts": True,
+            "allow_empty_bins": False, "grid_resolution": 4001,
+        }
+        evaluate = {"command": "evaluate", "group": "bins", "bins": "1", "method_name": "m"}
+        assert config_line(report) == evaluate
+        assert config_line(widths) == evaluate
 
 
 class TestNegativeSeed:

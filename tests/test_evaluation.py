@@ -367,3 +367,8 @@ class TestRunReplications:
         t2 = zicount_study(replications=2)
         assert t2.dgp == "zicount" and t2.grouping == (1.0,)
         assert t2.round_counts is False
+        assert lognormal_study(bootstrap_draws=300).bootstrap_draws == 300
+        t3 = zicount_study(grouping=SEVEN_BIN_CUTPOINTS)
+        assert t3.grouping == SEVEN_BIN_CUTPOINTS and t3.zero_prob == t2.zero_prob
+        with pytest.raises(TypeError):
+            lognormal_study(no_such_field=1)
