@@ -326,9 +326,8 @@ class QuantRegFit:
     loss: float
 
     def predict(self, x):
-        """Prediction for one feature vector (a float) or a feature matrix."""
-        out, single = linear_predict(self.coefficients, x)
-        return float(out[0]) if single else out
+        """Prediction per row of a feature matrix; a 1-D input is one feature."""
+        return linear_predict(self.coefficients, x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,8 @@ Every command is deterministic given its flags; outputs embed their
 configuration as a leading comment line (the parsed flags of ``intervals``
 and ``evaluate`` bar the file paths, the resolved values of ``simulate``
 and ``report``); method notes and warnings (such as collapsed percentile
-bins) go to stderr as ``note:`` lines. Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical error.
+bins) are UserWarnings, printed to stderr as ``note:`` lines. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
 
 import argparse
@@ -163,8 +163,6 @@ def cmd_intervals(args) -> int:
         n_draws=args.bootstrap_b,
         rng=rng,
     )
-    for note in result.notes:
-        print(f"note: {note}", file=sys.stderr)
     config = {k: v for k, v in vars(args).items() if k not in PATH_FLAGS}
     io.write_intervals_csv(args.out, test_ids, result.sets, result.flags, config)
     return 0

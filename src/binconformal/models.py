@@ -76,17 +76,15 @@ def design_matrix(features) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def linear_predict(coefficients, x) -> tuple:
-    """(design @ coefficients, whether ``x`` was one row); a 1-D input is
-    one row. DataError unless ``x`` has one feature per slope."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    X = design_matrix(arr[None, :] if single else arr)
+def linear_predict(coefficients, x) -> np.ndarray:
+    """``design_matrix(x) @ coefficients``; a 1-D input is one feature.
+    DataError unless ``x`` has one feature per slope."""
+    X = design_matrix(x)
     if X.shape[1] != len(coefficients):
         raise DataError(
             f"expected {len(coefficients) - 1} features, got {X.shape[1] - 1}"
         )
-    return X @ coefficients, single
+    return X @ coefficients
 
 
 def ols_fit(features, y, transform: OutcomeTransform = OutcomeTransform.IDENTITY) -> LinearModel:
@@ -113,16 +111,13 @@ def ols_fit(features, y, transform: OutcomeTransform = OutcomeTransform.IDENTITY
 
 
 def predict(model: LinearModel, x) -> tuple:
-    """Predict one feature vector or a feature matrix.
+    """Predict each row of a feature matrix; a 1-D input is one feature.
 
-    Returns (transformed-scale prediction, raw-scale prediction); the raw
-    value applies the inverse transform, with log1p clamped at 0.
+    Returns (transformed-scale predictions, raw-scale predictions); the raw
+    values apply the inverse transform, with log1p clamped at 0.
     """
-    z_hat, single = linear_predict(model.coefficients, x)
-    y_hat = model.transform.inverse(z_hat)
-    if single:
-        return float(z_hat[0]), float(y_hat[0])
-    return z_hat, y_hat
+    z_hat = linear_predict(model.coefficients, x)
+    return z_hat, model.transform.inverse(z_hat)
 
 
 def round_count_interval(interval: PredictionInterval) -> PredictionInterval:

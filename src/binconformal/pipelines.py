@@ -10,6 +10,7 @@ works on whole arrays of test rows and ends in one
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -43,11 +44,10 @@ FLAG_TUPLES = tuple(
 
 @dataclass(frozen=True, eq=False)
 class MethodIntervals:
-    """Test-row interval sets with row flags and method-level notes."""
+    """Test-row interval sets with their row flags."""
 
     sets: IntervalBatch
     flags: list
-    notes: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +103,8 @@ def make_intervals(
     regression uses the transformed point prediction as its one regressor,
     fit on the calibration pairs. NaN or infinite calibration outcomes,
     calibration predictions or test predictions raise DataError; an
-    ``alpha`` outside (0, 1) raises ConfigurationError.
+    ``alpha`` outside (0, 1) raises ConfigurationError. Method notes, such
+    as bins that fell back to an infinite quantile, are UserWarnings.
     """
     alpha = _validate_alpha(alpha)
     if kind not in BUILDERS:
@@ -133,7 +134,7 @@ def make_intervals(
             f"calibration outcomes ({yt_cal.size}) and predictions "
             f"({yp_cal.size}) lengths differ"
         )
-    batch, notes, crossed = BUILDERS[kind](_Inputs(
+    batch, crossed = BUILDERS[kind](_Inputs(
         yt_cal, yp_cal, yp_test, alpha, transform, bins, allow_empty_bins,
         n_draws, rng, floor, quantreg_design,
     ))
@@ -143,7 +144,7 @@ def make_intervals(
         )
     codes = clamped + 2 * (batch.total_width() == INF) + 4 * crossed
     flags = [FLAG_TUPLES[c] for c in codes.tolist()]
-    return MethodIntervals(sets=batch, flags=flags, notes=notes)
+    return MethodIntervals(sets=batch, flags=flags)
 
 
 def _back_transform(lower, upper, transform, snap):
@@ -163,9 +164,9 @@ def _back_transform(lower, upper, transform, snap):
     lower[used], upper[used] = np.split(raw, 2)
 
 
-# Each builder maps the validated inputs to (batch, notes, crossed): the
-# raw-scale IntervalBatch, a tuple of method-level notes, and a per-row
-# mask of crossed quantile pairs (False where no pair can cross).
+# Each builder maps the validated inputs to (batch, crossed): the raw-scale
+# IntervalBatch and a per-row mask of crossed quantile pairs (False where no
+# pair can cross). Notes are UserWarnings aimed at make_intervals' caller.
 
 
 def _conformal(contiguous, inputs):
@@ -187,9 +188,10 @@ def _conformal(contiguous, inputs):
     )
     if not inputs.allow_empty_bins:
         require_records(bins, cal.bin_indices)
-    notes = ()
-    if any(math.isinf(q) for q in cal.bin_quantiles.values()):
-        notes = ("one or more bins fell back to an infinite quantile",)
+    for b, q in cal.bin_quantiles.items():
+        if q == INF:  # named, like an empty bin, by its raw bounds
+            warnings.warn("bin {} [{}, {}) fell back to an infinite quantile".format(
+                b, *bins.bin_bounds(b)), stacklevel=3)
     lower, upper = bccp_bounds(transform.forward(inputs.y_pred_test), cal)
     if contiguous:  # on the method's scale, so hull endpoints snap too
         hull = IntervalBatch.from_slots(lower, upper).hull()
@@ -199,7 +201,7 @@ def _conformal(contiguous, inputs):
     # equal values to equal values, so this equals merging on both scales
     if transform is not OutcomeTransform.IDENTITY:
         _back_transform(lower, upper, transform, snap)
-    return IntervalBatch.from_slots(lower, upper), notes, False
+    return IntervalBatch.from_slots(lower, upper), False
 
 
 def _log_scale(inputs, method):
@@ -225,7 +227,7 @@ def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
         n_draws=inputs.n_draws, rng=inputs.rng,
     )
     lower, upper = scale.inverse(batch.lower), scale.inverse(batch.upper)
-    return _clipped(lower, upper, inputs), (), False
+    return _clipped(lower, upper, inputs), False
 
 
 def _bootstrap_log(inputs):
@@ -244,7 +246,7 @@ def _lognormal(inputs):
     batch = _clipped(
         transform.inverse(p_t - z * sigma), transform.inverse(p_t + z * sigma), inputs
     )
-    return batch, (), False
+    return batch, False
 
 
 def _count_means(inputs):
@@ -255,7 +257,7 @@ def _count_means(inputs):
 
 def _poisson(inputs):
     batch = baselines.poisson_intervals(_count_means(inputs), inputs.alpha)
-    return _clipped(batch.lower, batch.upper, inputs), (), False
+    return _clipped(batch.lower, batch.upper, inputs), False
 
 
 def _negbinom(inputs):
@@ -263,33 +265,33 @@ def _negbinom(inputs):
     dispersion = baselines.estimate_nb_dispersion(
         inputs.y_true_cal, np.maximum(0.0, inputs.y_pred_cal)
     )
-    notes = ()
     if dispersion is None:
-        notes = ("no overdispersion in calibration; using Poisson quantiles",)
+        warnings.warn("no overdispersion in calibration; using Poisson quantiles",
+                      stacklevel=3)
         batch = baselines.poisson_intervals(mus, inputs.alpha)
     else:
         batch = baselines.negbinom_intervals(mus, dispersion, inputs.alpha)
-    return _clipped(batch.lower, batch.upper, inputs), notes, False
+    return _clipped(batch.lower, batch.upper, inputs), False
 
 
 def _quantreg(inputs):
     transform = inputs.transform
     if inputs.quantreg_design is not None:
         X_fit, y_fit_raw, X_test = inputs.quantreg_design
-        y_fit = transform.forward(np.asarray(y_fit_raw, dtype=float).ravel())
+        y_fit = transform.forward(y_fit_raw)
     else:
-        X_fit = transform.forward(inputs.y_pred_cal)[:, None]
+        X_fit = transform.forward(inputs.y_pred_cal)
         y_fit = transform.forward(inputs.y_true_cal)
-        X_test = transform.forward(inputs.y_pred_test)[:, None]
+        X_test = transform.forward(inputs.y_pred_test)
     model = baselines.quantreg_pair(X_fit, y_fit, inputs.alpha)
-    lo_t = model.lower.predict(np.asarray(X_test, dtype=float))
-    hi_t = model.upper.predict(np.asarray(X_test, dtype=float))
+    lo_t = model.lower.predict(X_test)
+    hi_t = model.upper.predict(X_test)
     batch = _clipped(
         transform.inverse(np.minimum(lo_t, hi_t)),
         transform.inverse(np.maximum(lo_t, hi_t)),
         inputs,
     )
-    return batch, (), lo_t > hi_t
+    return batch, lo_t > hi_t
 
 
 # builders look calibrate and the baselines up as module globals at call

@@ -575,7 +575,8 @@ class TestQuantReg:
     def test_constant_outcome(self):
         X = np.random.default_rng(1).normal(size=(40, 2))
         model = quantreg_pair(X, np.full(40, 3.0), alpha=0.1)
-        lo, hi = sorted((model.lower.predict(X[0]), model.upper.predict(X[0])))
+        row = X[None, 0]
+        lo, hi = sorted((model.lower.predict(row)[0], model.upper.predict(row)[0]))
         assert lo == pytest.approx(3.0, abs=1e-9)
         assert hi == pytest.approx(3.0, abs=1e-9)
         assert model.lower.coefficients == pytest.approx([3.0, 0.0, 0.0], abs=1e-6)
@@ -608,8 +609,8 @@ class TestQuantReg:
         lower = QuantRegFit(0.05, np.array([5.0]), 1, 0.0)
         upper = QuantRegFit(0.95, np.array([3.0]), 1, 0.0)
         model = QuantRegModel(lower=lower, upper=upper)
-        x = np.empty((0,))
-        lo, hi = model.lower.predict(x), model.upper.predict(x)
+        x = np.empty((1, 0))
+        lo, hi = model.lower.predict(x)[0], model.upper.predict(x)[0]
         assert lo > hi
         # the pipeline swaps a crossed pair into one interval and flags it
         monkeypatch.setattr(baselines, "quantreg_pair", lambda *a, **k: model)
@@ -630,9 +631,9 @@ class TestQuantReg:
         with pytest.raises(NumericalError, match="did not converge"):
             quantreg_fit(x, y, 0.5)
 
-    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3))], ids=["row", "matrix"])
+    @pytest.mark.parametrize("x", [np.ones((1, 3)), np.ones((4, 3))], ids=["row", "matrix"])
     def test_feature_count_mismatch_is_data_error(self, x):
-        # one slope coefficient, three features: 1-D is one row, 2-D is four
+        # one slope coefficient, three features: in one row or in four
         coefficients = np.array([1.0, 2.0])
         fit = QuantRegFit(0.5, coefficients, 1, 0.0)
         with pytest.raises(DataError, match="expected 1 features, got 3"):

@@ -374,6 +374,42 @@ class TestIntervalsCommand:
         assert code == 3
         assert "bin 3 [55.0, inf) has no calibration records" in capsys.readouterr().err
 
+    def test_starved_bin_is_one_note_naming_the_raw_bin(self, tmp_path, capsys):
+        # 3 records in [55, inf): at alpha 0.1 a bin needs 9 for a finite
+        # quantile, so that bin falls back to +inf, and the note says which
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  [(i, i % 5, i % 5 + 0.3) for i in range(60)]
+                  + [(60 + i, v, v - 4.0) for i, v in enumerate((60.0, 70.0, 80.0))])
+        write_csv(test, ("row_id", "y_pred"), [("a", 1.0), ("b", 70.0)])
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", "bccp-d", "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+            "--bins", "1,55", "--transform", "log1p",
+        ]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: bin 3 [55.0, inf) fell back to an infinite quantile"
+        ]
+        _, rows = read_table(out)
+        assert all(r["upper"] == "inf" for r in rows if r["row_id"] == "b")
+
+    def test_negbinom_without_overdispersion_notes_the_poisson_fallback(
+        self, tmp_path, capsys
+    ):
+        # outcomes 2 and 3 around a mean of 2.5: variance 0.25 is below it
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"),
+                  [(i, 2.0 + i % 2, 2.5) for i in range(40)])
+        write_csv(test, ("row_id", "y_pred"), [("a", 2.5), ("b", 6.0)])
+        assert main([
+            "intervals", "--method", "negbinom", "--calibration", str(cal),
+            "--test", str(test), "--out", str(tmp_path / "iv.csv"),
+        ]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: no overdispersion in calibration; using Poisson quantiles"
+        ]
+
     @pytest.mark.parametrize("which, row", [
         ("test", ("b", "nan")),
         ("test", ("b", "inf")),
@@ -718,6 +754,21 @@ class TestReportCommand:
         ]) == 3
         err = capsys.readouterr().err
         assert "replicate 0: bin 4 [55.0, inf) has no calibration records" in err
+
+    def test_starved_bin_note_reaches_report(self, tmp_path, capsys):
+        # both replicates hold too few records above 149 for a finite top-bin
+        # quantile, so every test row reaches +inf; one note says why
+        out = tmp_path / "r.csv"
+        assert main([
+            "report", "--study", "zicount", "--replications", "2", "--n", "6000",
+            "--methods", "bccp-d-7", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: bin 7 [149.0, inf) fell back to an infinite quantile"
+        ]
+        _, rows = read_table(out)
+        (aggregate,) = [r for r in rows if r["group"] == "aggregate"]
+        assert aggregate["inf_width_count"] == aggregate["n"] == "1200"
 
     def test_unknown_method_filter_is_config_error(self, tmp_path):
         assert main([

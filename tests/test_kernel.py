@@ -274,14 +274,19 @@ class TestKernelMatchesOracle:
         )
         want, _, cal = oracle_rows(**case)
         assert math.isinf(cal.bin_quantiles[2])
-        got = make_intervals(
-            "bccp-d", y_cal, p_cal, case["p_test"], alpha=0.1,
-            transform=LOG1P, bins=bins,
-        )
+        with pytest.warns(UserWarning) as notes:
+            got = make_intervals(
+                "bccp-d", y_cal, p_cal, case["p_test"], alpha=0.1,
+                transform=LOG1P, bins=bins,
+            )
         for i, s in enumerate(want):
             assert same_set(got.sets[i], s)
             assert s.contains(5.0) and s.contains(10.0)
-        assert got.notes
+        # one note, naming the raw bin, raised at make_intervals' caller
+        assert [str(w.message) for w in notes] == [
+            "bin 2 [5.0, 10.0) fell back to an infinite quantile"
+        ]
+        assert notes[0].filename == __file__
 
 
 class TestNestingInAlpha:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from binconformal.baselines import quantreg_fit
 from binconformal.errors import DataError, NumericalError
 from binconformal.intervals import PredictionInterval
 from binconformal.models import (
@@ -91,15 +92,15 @@ class TestOlsFit:
 class TestPredict:
     def test_log_scale_example(self):
         model = LinearModel(np.array([0.0, 1.0, 1.0]), LOG)
-        z, y = predict(model, np.array([0.5, 0.5]))
-        assert z == pytest.approx(1.0)
-        assert y == pytest.approx(math.e)
+        z, y = predict(model, np.array([[0.5, 0.5]]))
+        assert z[0] == pytest.approx(1.0)
+        assert y[0] == pytest.approx(math.e)
 
     def test_log1p_negative_prediction_clamped(self):
         model = LinearModel(np.array([-0.1]), LOG1P)
-        z, y = predict(model, np.empty((0,)))
-        assert z == pytest.approx(-0.1)
-        assert y == 0.0
+        z, y = predict(model, np.empty((1, 0)))
+        assert z[0] == pytest.approx(-0.1)
+        assert y[0] == 0.0
 
     def test_identity_transform_matches(self):
         model = LinearModel(np.array([1.0, 2.0]), IDENTITY)
@@ -111,9 +112,23 @@ class TestPredict:
         X = np.random.default_rng(0).normal(size=(10, 2))
         z, y = predict(model, X)
         for i in range(10):
-            zi, yi = predict(model, X[i])
-            assert z[i] == pytest.approx(zi)
-            assert y[i] == pytest.approx(yi)
+            zi, yi = predict(model, X[None, i])
+            assert z[i] == pytest.approx(zi[0])
+            assert y[i] == pytest.approx(yi[0])
+
+    def test_one_dimensional_features_are_one_column(self):
+        # a 1-D input is one feature, as ols_fit and quantreg_fit read it
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 3.0, size=20)
+        y = np.exp(0.5 + x + rng.normal(0.0, 0.1, size=20))
+        model = ols_fit(x, y, LOG)
+        z, y_hat = predict(model, x)
+        z_col, y_col = predict(model, x[:, None])
+        assert z.shape == y_hat.shape == (20,)
+        assert z.tobytes() == z_col.tobytes()
+        assert y_hat.tobytes() == y_col.tobytes()
+        fit = quantreg_fit(x, np.log(y), 0.5)
+        assert fit.predict(x).tobytes() == fit.predict(x[:, None]).tobytes()
 
 
 class TestRoundCountInterval:
