@@ -139,9 +139,10 @@ def _as_rng(rng) -> np.random.Generator:
     return derive_rng(rng)
 
 
-# bytes of one block's draws: 65 rows at 2,000 draws, so that the block's
-# int64 draws and int32 ranks stay in a core's L2 cache
-_BLOCK_BYTES = 1 << 20
+# bytes of one block's draws: 32 rows at 2,000 draws, so that the block's
+# int64 draws and int32 ranks stay in a core's L2 cache while another
+# method of the replicate runs beside it
+_BLOCK_BYTES = 1 << 19
 
 
 def _block_rows(n_draws: int) -> int:
@@ -166,7 +167,7 @@ def bootstrap_intervals(
     (numpy's default linear method). For symmetric pools this coincides
     with adding the residuals.
 
-    Rows are processed in blocks of about 1 MB of draws. Each block's
+    Rows are processed in blocks of about 512 KB of draws. Each block's
     indices are drawn from ``rng`` in row order, which yields the same
     integers as one (n, n_draws) draw, and its quantiles are taken from
     the sorted ranks of its draws. A row's bounds depend only on its own

@@ -61,7 +61,7 @@ def require_finite(values, what: str) -> np.ndarray:
     if bad.any():
         raise DataError(
             f"{what} must be finite: {int(bad.sum())} NaN or infinite values "
-            f"(first at position {int(np.argmax(bad))}: {arr[bad][0]!r})"
+            f"(first at position {int(np.argmax(bad))}: {float(arr[bad][0])!r})"
         )
     return arr
 
@@ -148,8 +148,8 @@ def calibrate(
     over the whole real line. An outcome below ``partition.support_min``
     raises DataError. A bin with no calibration records raises unless
     ``allow_empty_bins`` is set, in which case its quantile is +inf (the
-    whole-bin fallback). NaN or infinite outcomes and predictions raise
-    DataError.
+    whole-bin fallback). NaN or infinite outcomes and predictions, and
+    scores that overflow to infinity, raise DataError.
     """
     alpha = _validate_alpha(alpha)
     yt = require_finite(y_true, "calibration outcomes")
@@ -158,7 +158,9 @@ def calibrate(
         raise DataError(f"y_true ({yt.size}) and y_pred ({yp.size}) lengths differ")
     if yt.size == 0:
         raise DataError("empty calibration: no records")
-    scores = np.abs(yt - yp)
+    with np.errstate(over="ignore"):
+        scores = np.abs(yt - yp)
+    scores = require_finite(scores, "calibration scores")
     bin_indices = partition.assign_many(yt)
     if not allow_empty_bins:
         require_records(partition, bin_indices)

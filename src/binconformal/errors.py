@@ -1,9 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types and the method-note channel shared across the package.
 
 Each type carries its own exit code and stderr label, which the CLI
 reports as ``<label>: <message>`` and returns: configuration problems exit
-2, data problems exit 3, numerical failures exit 4.
+2, data problems exit 3, numerical failures exit 4. Method notes are
+UserWarnings, raised through :func:`note`.
 """
+
+import threading
+import warnings
+from contextlib import contextmanager
+
+_kept = threading.local()
 
 
 class BinConformalError(Exception):
@@ -32,3 +39,25 @@ class NumericalError(BinConformalError):
 
     exit_code = 4
     label = "numerical error"
+
+
+def note(message: str, stacklevel: int = 1) -> None:
+    """Raise a method note as ``warnings.warn(message, UserWarning,
+    stacklevel)`` would in the caller, or, inside :func:`keep_notes` on
+    this thread, append it to that block's list."""
+    kept = getattr(_kept, "notes", None)
+    if kept is None:
+        warnings.warn(message, UserWarning, stacklevel=stacklevel + 1)
+    else:
+        kept.append(message)
+
+
+@contextmanager
+def keep_notes(kept: list):
+    """Append the notes this thread raises inside the block to ``kept``
+    instead of warning, so that a caller can raise them in its own order."""
+    _kept.notes = kept
+    try:
+        yield
+    finally:
+        _kept.notes = None

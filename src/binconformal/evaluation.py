@@ -2,18 +2,23 @@
 
 The harness runs a configured study end to end, R times with derived
 seeds: generate data, split, fit the point model, build every method's
-intervals, and score them against the held-out test outcomes. Metrics are
+intervals, and score them against the held-out test outcomes. A
+replicate's methods run side by side on a pool of threads, one per usable
+CPU at most; each draws from its own stream, so the numbers, and the
+notes raised in method order, are those of a serial run. Metrics are
 reported in aggregate and within groups of the TRUE outcome (empirical
 quartiles or explicit bins), with Monte Carlo standard errors across
 replicates.
 """
 
 import math
+import os
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import BinConformalError, ConfigurationError, DataError
+from .errors import BinConformalError, ConfigurationError, DataError, keep_notes
 from .intervals import (
     BinPartition,
     IntervalBatch,
@@ -210,7 +215,15 @@ def _resolve_bins(spec: MethodSpec, y_cal, support_min) -> BinPartition | None:
     return None
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_replicate(config: StudyConfig, rep: int) -> dict:
+    from concurrent.futures import ThreadPoolExecutor
+
     seed = (config.base_seed, rep)
     ds = split(
         generate(config.dgp, config.n, seed, config.zero_prob),
@@ -228,23 +241,43 @@ def _run_replicate(config: StudyConfig, rep: int) -> dict:
     else:
         grouping = bins_from_cutpoints(config.grouping, config.support_min)
 
+    def score(index, spec, kept):
+        """One method's tallies, its notes appended to ``kept``."""
+        with keep_notes(kept):
+            bins = _resolve_bins(spec, y_cal, config.support_min)
+            result = make_intervals(
+                spec.kind, y_cal, p_cal, p_test,
+                alpha=config.alpha,
+                transform=spec.transform,
+                bins=bins,
+                round_counts=config.round_counts,
+                n_draws=config.bootstrap_draws,
+                rng=derive_rng(seed, STREAM_METHOD, index),
+                support_min=config.support_min,
+                quantreg_design=(
+                    (X_train, y_train, X_test) if spec.kind == "quantreg" else None
+                ),
+            )
+            return coverage(result.sets, y_test, grouping)
+
+    # results and notes are taken in method order, up to the first failure
+    notes = [[] for _ in config.methods]
     out = {}
-    for index, spec in enumerate(config.methods):
-        bins = _resolve_bins(spec, y_cal, config.support_min)
-        result = make_intervals(
-            spec.kind, y_cal, p_cal, p_test,
-            alpha=config.alpha,
-            transform=spec.transform,
-            bins=bins,
-            round_counts=config.round_counts,
-            n_draws=config.bootstrap_draws,
-            rng=derive_rng(seed, STREAM_METHOD, index),
-            support_min=config.support_min,
-            quantreg_design=(
-                (X_train, y_train, X_test) if spec.kind == "quantreg" else None
-            ),
-        )
-        out[spec.name] = coverage(result.sets, y_test, grouping)
+    with ThreadPoolExecutor(min(len(config.methods), _usable_cpus()) or 1) as pool:
+        futures = [
+            pool.submit(score, index, spec, kept)
+            for index, (spec, kept) in enumerate(zip(config.methods, notes))
+        ]
+        try:
+            for spec, future, kept in zip(config.methods, futures, notes):
+                try:
+                    out[spec.name] = future.result()
+                finally:
+                    for message in kept:
+                        warnings.warn(message, UserWarning)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return out
 
 

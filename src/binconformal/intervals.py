@@ -12,14 +12,13 @@ each left-closed and right-open, with the last bin extending to +inf.
 """
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, note
 
 INF = math.inf
 
@@ -359,10 +358,9 @@ def bins_from_percentiles(
     # a breakpoint at the smallest value would open with an empty bin
     kept = np.unique(raw[raw > max(support_min, arr.min())])
     if kept.size < len(probs):
-        warnings.warn(
+        note(
             f"duplicate or out-of-support percentile breakpoints collapsed: "
             f"{k} requested bins reduced to {kept.size + 1}",
-            UserWarning,
             stacklevel=2,
         )
     return BinPartition(tuple(float(b) for b in kept), float(support_min))

@@ -10,7 +10,6 @@ works on whole arrays of test rows and ends in one
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,7 +23,7 @@ from .conformal import (
     require_finite,
     require_records,
 )
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, note
 from .intervals import BinPartition, IntervalBatch
 from .models import OutcomeTransform, round_count_bounds
 
@@ -190,7 +189,7 @@ def _conformal(contiguous, inputs):
         require_records(bins, cal.bin_indices)
     for b, q in cal.bin_quantiles.items():
         if q == INF:  # named, like an empty bin, by its raw bounds
-            warnings.warn("bin {} [{}, {}) fell back to an infinite quantile".format(
+            note("bin {} [{}, {}) fell back to an infinite quantile".format(
                 b, *bins.bin_bounds(b)), stacklevel=3)
     lower, upper = bccp_bounds(transform.forward(inputs.y_pred_test), cal)
     if contiguous:  # on the method's scale, so hull endpoints snap too
@@ -217,8 +216,11 @@ def _clipped(lower, upper, inputs):
 
 
 def _residuals(inputs, scale):
-    """Calibration residuals ``forward(y_true) - forward(y_pred)`` on ``scale``."""
-    return scale.forward(inputs.y_true_cal) - scale.forward(inputs.y_pred_cal)
+    """Calibration residuals ``forward(y_true) - forward(y_pred)`` on ``scale``;
+    DataError on one that overflows."""
+    with np.errstate(over="ignore"):
+        residuals = scale.forward(inputs.y_true_cal) - scale.forward(inputs.y_pred_cal)
+    return require_finite(residuals, "calibration residuals")
 
 
 def _bootstrap(inputs, scale=OutcomeTransform.IDENTITY):
@@ -266,8 +268,7 @@ def _negbinom(inputs):
         inputs.y_true_cal, np.maximum(0.0, inputs.y_pred_cal)
     )
     if dispersion is None:
-        warnings.warn("no overdispersion in calibration; using Poisson quantiles",
-                      stacklevel=3)
+        note("no overdispersion in calibration; using Poisson quantiles", stacklevel=3)
         batch = baselines.poisson_intervals(mus, inputs.alpha)
     else:
         batch = baselines.negbinom_intervals(mus, dispersion, inputs.alpha)

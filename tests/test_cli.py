@@ -434,6 +434,25 @@ class TestIntervalsCommand:
         ]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["scp", "bccp-d", "bccp-c", "bootstrap"])
+    def test_overflowing_score_is_data_error(self, tmp_path, capsys, method):
+        # each value is finite, but their difference is not
+        cal_rows = [(i, 5.0 + i, 4.8 + i) for i in range(30)] + [(30, 1e308, -1e308)]
+        cal, test = tmp_path / "cal.csv", tmp_path / "test.csv"
+        write_csv(cal, ("row_id", "y_true", "y_pred"), cal_rows)
+        write_csv(test, ("row_id", "y_pred"), [("a", 9.5), ("b", 20.0)])
+        bins = ["--bins", "5"] if method in BINNED_KINDS else []
+        out = tmp_path / "iv.csv"
+        assert main([
+            "intervals", "--method", method, *bins, "--calibration", str(cal),
+            "--test", str(test), "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: calibration ")
+        assert "first at position 30: inf" in err
+        assert "overflow encountered" not in err
+        assert not out.exists()
+
     def test_duplicate_test_row_id_is_data_error(self, two_bin_files, tmp_path, capsys):
         cal, _ = two_bin_files
         test = tmp_path / "dup.csv"

@@ -1,12 +1,19 @@
 import json
 import math
+import sys
+import threading
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from binconformal import evaluation
 from binconformal.errors import ConfigurationError, DataError
 from binconformal.evaluation import (
     AGGREGATE,
+    IDENTITY,
+    LOG1P,
     QUARTILES,
     SEVEN_BIN_CUTPOINTS,
     MethodSpec,
@@ -20,10 +27,20 @@ from binconformal.intervals import (
     IntervalBatch,
     PredictionInterval,
     bins_from_cutpoints,
+    bins_from_percentiles,
     union,
 )
-from binconformal.models import OutcomeTransform
+from binconformal.models import OutcomeTransform, ols_fit, predict
 from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
+from binconformal.simulation import (
+    CALIBRATION,
+    STREAM_METHOD,
+    TEST,
+    TRAIN,
+    derive_rng,
+    generate,
+    split,
+)
 
 INF = math.inf
 
@@ -372,3 +389,131 @@ class TestRunReplications:
         assert t3.grouping == SEVEN_BIN_CUTPOINTS and t3.zero_prob == t2.zero_prob
         with pytest.raises(TypeError):
             lognormal_study(no_such_field=1)
+
+
+def serial_replicate(config, rep):
+    """One replicate's tallies from a plain loop over the methods, in order."""
+    seed = (config.base_seed, rep)
+    ds = split(generate(config.dgp, config.n, seed, config.zero_prob),
+               config.proportions, seed=seed)
+    X_train, y_train = ds.rows(TRAIN)
+    X_cal, y_cal = ds.rows(CALIBRATION)
+    X_test, y_test = ds.rows(TEST)
+    model = ols_fit(X_train, y_train, config.model_transform)
+    _, p_cal = predict(model, X_cal)
+    _, p_test = predict(model, X_test)
+    grouping = config.grouping
+    if grouping != QUARTILES:
+        grouping = bins_from_cutpoints(grouping, config.support_min)
+    out = {}
+    for index, spec in enumerate(config.methods):
+        bins = None
+        if spec.cutpoints is not None:
+            bins = bins_from_cutpoints(spec.cutpoints, config.support_min)
+        elif spec.n_bins is not None:
+            bins = bins_from_percentiles(y_cal, spec.n_bins, config.support_min)
+        result = make_intervals(
+            spec.kind, y_cal, p_cal, p_test, alpha=config.alpha,
+            transform=spec.transform, bins=bins, round_counts=config.round_counts,
+            n_draws=config.bootstrap_draws,
+            rng=derive_rng(seed, STREAM_METHOD, index),
+            support_min=config.support_min,
+            quantreg_design=(X_train, y_train, X_test) if spec.kind == "quantreg" else None,
+        )
+        out[spec.name] = coverage(result.sets, y_test, grouping)
+    return out
+
+
+def noting(run, *args):
+    """run(*args) and the messages of the notes it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args)
+    return result, [str(w.message) for w in caught]
+
+
+# zicount at n=2000, seed (20240502, 0): the percentile breakpoints of the
+# zero-heavy outcomes collapse, and the top bins [55, inf) and [30, inf)
+# hold too few records for a finite quantile; each of those three methods
+# raises one note, and the baselines between them raise none
+NOTED_METHODS = (
+    MethodSpec("pct-4", "bccp-d", LOG1P, n_bins=4),
+    MethodSpec("bootstrap", "bootstrap", IDENTITY),
+    MethodSpec("top-55", "bccp-d", LOG1P, cutpoints=(1.0, 55.0)),
+    MethodSpec("quantreg", "quantreg", LOG1P),
+    MethodSpec("top-30", "bccp-d", LOG1P, cutpoints=(1.0, 8.0, 30.0)),
+    MethodSpec("bootstrap-log", "bootstrap-log", LOG1P),
+)
+
+
+class TestMethodPool:
+    @pytest.mark.parametrize("study, n", [(lognormal_study, 1200), (zicount_study, 6000)])
+    def test_tallies_equal_a_serial_loop(self, study, n, monkeypatch):
+        config = study(n=n, replications=2, bootstrap_draws=500)
+        assert {"quantreg", "bootstrap", "bootstrap-log"} <= {m.kind for m in config.methods}
+        for rep in range(config.replications):
+            assert evaluation._run_replicate(config, rep) == serial_replicate(config, rep)
+        pooled, pooled_notes = noting(run_replications, config)
+        monkeypatch.setattr(evaluation, "_run_replicate", serial_replicate)
+        serial, serial_notes = noting(run_replications, config)
+        assert pooled_notes == serial_notes
+        assert pooled.groups == serial.groups
+        np.testing.assert_equal(
+            {cell: astuple(stat) for cell, stat in pooled.stats.items()},
+            {cell: astuple(stat) for cell, stat in serial.stats.items()},
+        )
+
+    def test_notes_are_raised_in_method_order(self, monkeypatch):
+        config = zicount_study(n=2000, replications=2, methods=NOTED_METHODS)
+        _, expected = noting(
+            lambda: [serial_replicate(config, rep) for rep in range(2)]
+        )
+        assert len(expected) >= 4
+        assert expected[0].startswith("duplicate or out-of-support percentile")
+        assert expected[1:3] == [
+            "bin 3 [55.0, inf) fell back to an infinite quantile",
+            "bin 4 [30.0, inf) fell back to an infinite quantile",
+        ]
+        # one worker per method, more than the cores, switching often
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: len(NOTED_METHODS))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                assert noting(run_replications, config)[1] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("first, message", [
+        ("lognormal", "replicate 0: the log-normal method requires the log"),
+        ("bootstrap-log", "replicate 0: bootstrap-log requires the log"),
+    ])
+    def test_the_earliest_failing_method_raises(self, first, message):
+        second = ({"lognormal", "bootstrap-log"} - {first}).pop()
+        methods = (
+            NOTED_METHODS[2],
+            MethodSpec(first, first, IDENTITY),
+            NOTED_METHODS[3],
+            MethodSpec(second, second, IDENTITY),
+            NOTED_METHODS[4],
+        )
+        config = zicount_study(n=2000, replications=1, methods=methods)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError) as raised:
+                run_replications(config)
+        assert str(raised.value).startswith(message)
+        # the note of the method before the failure, none from after it
+        assert [str(w.message) for w in caught] == [
+            "bin 3 [55.0, inf) fell back to an infinite quantile"
+        ]
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        noting(run_replications,
+               zicount_study(n=2000, replications=2, methods=NOTED_METHODS))
+        assert threading.active_count() == before
+        failing = (MethodSpec("lognormal", "lognormal", IDENTITY),) + NOTED_METHODS
+        with pytest.raises(ConfigurationError, match="replicate 0"):
+            run_replications(zicount_study(n=2000, replications=1, methods=failing))
+        assert threading.active_count() == before
