@@ -378,13 +378,15 @@ def quantreg_fit(features, y, tau: float) -> QuantRegFit:
     stalled = 0
     for iteration in range(1, _MAX_ITER + 1):
         u = yv - X @ beta
-        loss = pinball_loss(u, tau)
+        neg = u < 0
+        loss = float(np.mean(u * np.where(neg, tau - 1.0, tau)))  # pinball_loss(u, tau)
         if loss < best_loss - 1e-12 * (1.0 + abs(loss)):
             best_loss = loss
             stalled = 0
         else:
             stalled += 1
-        weights = np.abs(tau - (u < 0)) / np.maximum(np.abs(u), _EPS)
+        # |tau - 1| is exactly 1 - tau in binary floating point
+        weights = np.where(neg, 1.0 - tau, tau) / np.maximum(np.abs(u), _EPS)
         w_sqrt = np.sqrt(weights)
         beta_new, *_ = np.linalg.lstsq(X * w_sqrt[:, None], yv * w_sqrt, rcond=None)
         change = float(np.max(np.abs(beta_new - beta)))

@@ -2,12 +2,14 @@
 
 The standard split conformal (SCP) interval for an absolute-error
 nonconformity score is ``[y_hat - q, y_hat + q]`` where q is the
-finite-sample-corrected quantile of calibration scores. The bin-conditional
-variant (BCCP) computes a separate quantile from the calibration records
-whose observed outcome falls in each bin, intersects each bin's interval
-with the bin itself, and combines the pieces: as the discontiguous union
-(BCCPd) or as its contiguized hull (BCCPc). SCP is BCCP with the single
-all-support bin, which a calibration built without a partition holds.
+finite-sample-corrected quantile of calibration scores. Under an outcome
+transform f the scores are ``|f(y) - f(y_hat)|`` and the interval is
+``[f^-1(f(y_hat) - q), f^-1(f(y_hat) + q)]``. The bin-conditional variant
+(BCCP) computes a separate quantile from the calibration records whose
+observed outcome falls in each bin, intersects each bin's interval with the
+bin itself, and combines the pieces: as the discontiguous union (BCCPd) or
+as its contiguized hull (BCCPc). SCP is BCCP with the single all-support
+bin, which a calibration built without a partition holds.
 
 Conventions, fixed here so results are deterministic:
 
@@ -20,21 +22,23 @@ Conventions, fixed here so results are deterministic:
   segment that would consist solely of the excluded right edge is empty.
 * The partition's ``support_min`` is the one support floor: predictions
   below it are clamped to it before interval construction, and calibration
-  outcomes below it are a DataError. The partition is on the scale the
-  scores are computed on; the pipelines build it once from the raw floor
-  (``log`` of 0 is -inf).
+  outcomes below it are a DataError. The partition is on the raw outcome
+  axis, whatever the transform: calibration records are assigned there,
+  and each bin's back-transformed segment is cut at its raw edges, so a
+  record is scored in the bin that evaluation puts it in.
 * A calibration of bare scores ``s`` is ``calibrate(s, np.zeros(n), alpha)``.
 
 The per-row functions (:func:`scp_interval`, :func:`bccp_discontiguous`,
 :func:`bccp_contiguous`) are the reference. :func:`bccp_bounds`, every
 bin's segment for a whole array of predictions at once, in fresh arrays
 the caller owns, is the one batch kernel the pipelines run; SCP is its
-one-bin case and BCCPc the hull of its merged slots. The tie rule: a lower endpoint is
-``max(lo_b, y_hat - q_b)`` and an upper one ``min(y_hat + q_b, hi_b)``,
-and Python's ``max(a, b)`` returns ``b`` only when ``b > a``, so on a tie
-the bin edge is kept (a ``-0.0`` meeting an edge of ``0.0`` gives
-``0.0``). The kernel spells out that comparison with ``np.copyto`` and a
-``where`` mask; ``np.maximum`` would pick a different zero.
+one-bin case and BCCPc the hull of its merged slots. The tie rule: a
+lower endpoint is ``max(lo_b, f^-1(f(y_hat) - q_b))`` and an upper one
+``min(f^-1(f(y_hat) + q_b), hi_b)``, and Python's ``max(a, b)`` returns
+``b`` only when ``b > a``, so on a tie the bin edge is kept (a ``-0.0``
+meeting an edge of ``0.0`` gives ``0.0``). The kernel spells out that
+comparison with ``np.copyto`` and a ``where`` mask; ``np.maximum`` would
+pick a different zero.
 """
 
 import math
@@ -50,6 +54,7 @@ from .intervals import (
     PredictionInterval,
     union,
 )
+from .models import OutcomeTransform
 
 INF = math.inf
 
@@ -92,25 +97,15 @@ def finite_sample_quantile(scores, alpha: float) -> float:
     return float(np.partition(arr, rank - 1)[rank - 1])
 
 
-def require_records(partition: BinPartition, bin_indices) -> None:
-    """DataError naming the first bin of ``partition`` not in ``bin_indices``."""
-    counts = np.bincount(bin_indices, minlength=partition.n_bins + 1)[1:]
-    if not counts.all():
-        lo, hi = partition.bin_bounds(b := int(np.argmin(counts)) + 1)
-        raise DataError(
-            f"bin {b} [{lo}, {hi}) has no calibration records; "
-            f"widen the bins or enable the whole-bin fallback"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ConformalCalibration:
     """Calibration scores with precomputed per-bin quantiles.
 
-    ``scores`` are the absolute errors ``|y_true - y_pred|``;
-    ``bin_indices`` follow the observed outcome ``y_true``, never the
-    prediction. Without a partition of its own the calibration holds the
-    one all-support bin, whose quantile is the global one.
+    ``scores`` are the absolute errors on the method's scale,
+    ``|f(y_true) - f(y_pred)|`` for the ``transform`` f; ``bin_indices``
+    follow the raw observed outcome ``y_true``, never the prediction, in
+    the raw ``partition``. Without a partition of its own the calibration
+    holds the one all-support bin, whose quantile is the global one.
     """
 
     scores: np.ndarray
@@ -118,6 +113,7 @@ class ConformalCalibration:
     bin_quantiles: dict  # 1-based bin index -> per-bin quantile
     partition: BinPartition
     bin_indices: np.ndarray
+    transform: OutcomeTransform = OutcomeTransform.IDENTITY
 
     @cached_property
     def quantile(self) -> float:
@@ -140,16 +136,19 @@ def calibrate(
     *,
     partition: BinPartition = BinPartition(),
     allow_empty_bins: bool = False,
+    transform: OutcomeTransform = OutcomeTransform.IDENTITY,
 ) -> ConformalCalibration:
-    """Build a conformal calibration from held-out (y_true, y_pred) pairs.
+    """Build a conformal calibration from held-out raw (y_true, y_pred) pairs.
 
-    Scores are grouped by the bin of the observed outcome and a per-bin
-    quantile is stored for each bin; the default partition is the one bin
-    over the whole real line. An outcome below ``partition.support_min``
+    Scores ``|f(y_true) - f(y_pred)|`` are computed on the scale of
+    ``transform`` f and grouped by the bin of the raw observed outcome, and
+    a per-bin quantile is stored for each bin; the default partition is the
+    one bin over the whole real line. An outcome below ``partition.support_min``
     raises DataError. A bin with no calibration records raises unless
     ``allow_empty_bins`` is set, in which case its quantile is +inf (the
-    whole-bin fallback). NaN or infinite outcomes and predictions, and
-    scores that overflow to infinity, raise DataError.
+    whole-bin fallback). NaN or infinite outcomes and predictions, values
+    outside the transform's domain, and scores that overflow to infinity,
+    raise DataError.
     """
     alpha = _validate_alpha(alpha)
     yt = require_finite(y_true, "calibration outcomes")
@@ -159,11 +158,16 @@ def calibrate(
     if yt.size == 0:
         raise DataError("empty calibration: no records")
     with np.errstate(over="ignore"):
-        scores = np.abs(yt - yp)
+        scores = np.abs(transform.forward(yt) - transform.forward(yp))
     scores = require_finite(scores, "calibration scores")
     bin_indices = partition.assign_many(yt)
-    if not allow_empty_bins:
-        require_records(partition, bin_indices)
+    counts = np.bincount(bin_indices, minlength=partition.n_bins + 1)[1:]
+    if not (allow_empty_bins or counts.all()):
+        lo, hi = partition.bin_bounds(b := int(np.argmin(counts)) + 1)
+        raise DataError(
+            f"bin {b} [{lo}, {hi}) has no calibration records; "
+            f"widen the bins or enable the whole-bin fallback"
+        )
     bin_quantiles = {}
     for b in range(1, partition.n_bins + 1):
         in_bin = scores[bin_indices == b]
@@ -175,21 +179,25 @@ def calibrate(
         bin_quantiles=bin_quantiles,
         partition=partition,
         bin_indices=bin_indices,
+        transform=transform,
     )
 
 
 def scp_interval(y_hat: float, calibration: ConformalCalibration) -> PredictionInterval:
-    """Split conformal interval [y_hat - q, y_hat + q], clipped to the support."""
-    y0 = calibration.clamp(float(y_hat))
+    """Split conformal interval [y_hat - q, y_hat + q] on the calibration's
+    scale, mapped back to the raw outcome and clipped to the support."""
+    f = calibration.transform
+    y0 = f.forward(calibration.clamp(float(y_hat)))
     q = calibration.quantile
-    lower = max(calibration.partition.support_min, y0 - q)
-    return PredictionInterval(lower, y0 + q)
+    lower = max(calibration.partition.support_min, f.inverse(y0 - q))
+    return PredictionInterval(lower, f.inverse(y0 + q))
 
 
 def bccp_per_bin_interval(
     y_hat: float, bin_index: int, calibration: ConformalCalibration
 ) -> PredictionInterval | None:
-    """One bin's contribution: [y_hat - q_b, y_hat + q_b] cut to the bin.
+    """One bin's contribution: [y_hat - q_b, y_hat + q_b] on the
+    calibration's scale, mapped back to the raw outcome and cut to the bin.
 
     Returns None when the intersection is empty. An infinite per-bin
     quantile returns the whole bin. The right-open bin edge is closed in
@@ -200,9 +208,10 @@ def bccp_per_bin_interval(
     q_b = calibration.bin_quantiles[bin_index]
     if math.isinf(q_b):
         return PredictionInterval(lo_bin, hi_bin)
-    y0 = calibration.clamp(float(y_hat))
-    lo = max(lo_bin, y0 - q_b)
-    hi = min(y0 + q_b, hi_bin)
+    f = calibration.transform
+    y0 = f.forward(calibration.clamp(float(y_hat)))
+    lo = max(lo_bin, f.inverse(y0 - q_b))
+    hi = min(f.inverse(y0 + q_b), hi_bin)
     if lo > hi:
         return None
     if lo == hi == hi_bin and math.isfinite(hi_bin):
@@ -232,18 +241,21 @@ def bccp_bounds(y_hats, calibration: ConformalCalibration) -> tuple:
     segment and NaN where the bin contributes none. Slots come in bin
     order, so they are sorted; segments touching at a breakpoint are not
     merged here. With a one-bin partition these are the
-    :func:`scp_interval` endpoints.
+    :func:`scp_interval` endpoints. An endpoint whose inverse overflows is
+    +inf, without a warning.
     """
-    partition, smin = calibration.partition, calibration.partition.support_min
+    partition, f = calibration.partition, calibration.transform
+    smin = partition.support_min
     bins = range(1, partition.n_bins + 1)
     lo_bin, hi_bin = np.array([partition.bin_bounds(b) for b in bins]).T
     q = np.array([calibration.bin_quantiles[b] for b in bins])
     y = np.asarray(y_hats, dtype=float).ravel()[:, None]
-    y0 = np.where(y >= smin, y, smin)  # ConformalCalibration.clamp
+    y0 = f.forward(np.where(y >= smin, y, smin))  # ConformalCalibration.clamp
     # for finite y0 an infinite q_b yields the whole bin [lo_b, hi_b] here
-    lower, upper = y0 - q, y0 + q
-    np.copyto(lower, lo_bin, where=lo_bin >= lower)  # max(lo_b, y0 - q_b)
-    np.copyto(upper, hi_bin, where=hi_bin < upper)  # min(y0 + q_b, hi_b)
+    with np.errstate(over="ignore"):
+        lower, upper = f.inverse(y0 - q), f.inverse(y0 + q)
+    np.copyto(lower, lo_bin, where=lo_bin >= lower)  # max(lo_b, lower)
+    np.copyto(upper, hi_bin, where=hi_bin < upper)  # min(upper, hi_b)
     empty = (lower > upper) | (
         (lower == upper) & (upper == hi_bin) & np.isfinite(hi_bin)
     )  # the second term: only the excluded right edge remains

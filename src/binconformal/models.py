@@ -46,7 +46,7 @@ class OutcomeTransform(Enum):
             if np.any(arr < 0):
                 raise DataError("log1p transform requires nonnegative outcomes")
             out = np.log1p(arr)
-        return float(out) if np.ndim(y) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def inverse(self, z):
         arr = np.asarray(z, dtype=float)
@@ -56,7 +56,7 @@ class OutcomeTransform(Enum):
             out = np.exp(arr)
         else:
             out = np.maximum(0.0, np.expm1(arr))
-        return float(out) if np.ndim(z) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,12 @@
 
 One entry point builds test-set intervals from calibration pairs plus test
 predictions, handling the scale bookkeeping shared by the CLI and the
-replication harness: transform inputs, clamp out-of-support predictions,
-construct intervals on the transformed scale, back-transform the
-endpoints, and optionally round to the integer count scale. Every step
-works on whole arrays of test rows and ends in one
+replication harness: clamp out-of-support predictions, fit each method on
+the transformed scale, map the endpoints back to the raw outcome, and
+optionally round to the integer count scale. Outcome bins never leave the
+raw axis: the conformal methods assign calibration records and cut each
+bin's segment there (see :mod:`binconformal.conformal`). Every step works
+on whole arrays of test rows and ends in one
 :class:`~binconformal.intervals.IntervalBatch`.
 """
 
@@ -16,13 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines
-from .conformal import (
-    _validate_alpha,
-    bccp_bounds,
-    calibrate,
-    require_finite,
-    require_records,
-)
+from .conformal import _validate_alpha, bccp_bounds, calibrate, require_finite
 from .errors import ConfigurationError, DataError, note
 from .intervals import BinPartition, IntervalBatch
 from .models import OutcomeTransform, round_count_bounds
@@ -146,61 +142,25 @@ def make_intervals(
     return MethodIntervals(sets=batch, flags=flags)
 
 
-def _back_transform(lower, upper, transform, snap):
-    """Map the used slot endpoints back to the raw scale, in place, with
-    one inverse call.
-
-    ``snap`` maps transformed breakpoint values to their exact raw
-    counterparts: endpoints that bind at a bin edge must land exactly on
-    the raw cutpoint, not a float ulp away from it, or outcomes sitting on
-    the cutpoint would drop out of the interval.
-    """
-    used = ~np.isnan(lower)
-    values = np.concatenate([lower[used], upper[used]])
-    raw = transform.inverse(values)
-    for transformed, cutpoint in snap.items():
-        raw[values == transformed] = cutpoint
-    lower[used], upper[used] = np.split(raw, 2)
-
-
 # Each builder maps the validated inputs to (batch, crossed): the raw-scale
 # IntervalBatch and a per-row mask of crossed quantile pairs (False where no
 # pair can cross). Notes are UserWarnings aimed at make_intervals' caller.
 
 
 def _conformal(contiguous, inputs):
-    # SCP is BCCP-d over the one all-support bin
-    transform, floor = inputs.transform, inputs.floor
-    bins = BinPartition(inputs.bins.breakpoints if inputs.bins else (), floor)
-    # the same bins on the method's scale; log maps a 0 floor to -inf
-    partition = BinPartition(
-        map(transform.forward, bins.breakpoints),
-        -INF if transform is OutcomeTransform.LOG and floor == 0
-        else transform.forward(floor),
-    )
-    snap = dict(zip(partition.breakpoints, bins.breakpoints))
-    snap[partition.support_min] = floor  # a -inf here is -inf or the log of 0
-    # an empty bin is named by its raw bounds
+    # SCP is BCCP-d over the one all-support bin; the bins stay on the raw
+    # outcome axis and the scores on the method's scale
+    bins = BinPartition(inputs.bins.breakpoints if inputs.bins else (), inputs.floor)
     cal = calibrate(
-        transform.forward(inputs.y_true_cal), transform.forward(inputs.y_pred_cal),
-        inputs.alpha, partition=partition, allow_empty_bins=True,
+        inputs.y_true_cal, inputs.y_pred_cal, inputs.alpha, partition=bins,
+        allow_empty_bins=inputs.allow_empty_bins, transform=inputs.transform,
     )
-    if not inputs.allow_empty_bins:
-        require_records(bins, cal.bin_indices)
     for b, q in cal.bin_quantiles.items():
-        if q == INF:  # named, like an empty bin, by its raw bounds
+        if q == INF:
             note("bin {} [{}, {}) fell back to an infinite quantile".format(
                 b, *bins.bin_bounds(b)), stacklevel=3)
-    lower, upper = bccp_bounds(transform.forward(inputs.y_pred_test), cal)
-    if contiguous:  # on the method's scale, so hull endpoints snap too
-        hull = IntervalBatch.from_slots(lower, upper).hull()
-        lower, upper = hull.lower, hull.upper
-    # back-transform (in place: the bounds are fresh arrays), then merge
-    # once on the raw scale; the inverse is monotone and snapping maps
-    # equal values to equal values, so this equals merging on both scales
-    if transform is not OutcomeTransform.IDENTITY:
-        _back_transform(lower, upper, transform, snap)
-    return IntervalBatch.from_slots(lower, upper), False
+    batch = IntervalBatch.from_slots(*bccp_bounds(inputs.y_pred_test, cal))
+    return batch.hull() if contiguous else batch, False
 
 
 def _log_scale(inputs, method):

@@ -26,7 +26,7 @@ from binconformal.baselines import (
 )
 from binconformal.errors import ConfigurationError, DataError, NumericalError
 from binconformal.intervals import PredictionInterval
-from binconformal.models import LinearModel, OutcomeTransform, predict
+from binconformal.models import LinearModel, OutcomeTransform, design_matrix, predict
 from binconformal.pipelines import make_intervals
 
 IDENTITY = OutcomeTransform.IDENTITY
@@ -571,7 +571,52 @@ def refined_grid_min(X, y, tau, center, span, stages=3, points=81):
     return best[0]
 
 
+def irls_reference(features, y, tau):
+    """The IRLS loop of quantreg_fit as first written, with its per-row
+    quantities recomputed where used: (coefficients, iterations, loss)."""
+    X = design_matrix(features)
+    yv = np.asarray(y, dtype=float).ravel()
+    beta, *_ = np.linalg.lstsq(X, yv, rcond=None)
+    best_loss = math.inf
+    stalled = 0
+    for iteration in range(1, baselines._MAX_ITER + 1):
+        u = yv - X @ beta
+        loss = pinball_loss(u, tau)
+        if loss < best_loss - 1e-12 * (1.0 + abs(loss)):
+            best_loss = loss
+            stalled = 0
+        else:
+            stalled += 1
+        weights = np.abs(tau - (u < 0)) / np.maximum(np.abs(u), baselines._EPS)
+        w_sqrt = np.sqrt(weights)
+        beta_new, *_ = np.linalg.lstsq(X * w_sqrt[:, None], yv * w_sqrt, rcond=None)
+        change = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        if change < baselines._TOL or stalled >= baselines._PLATEAU:
+            return beta, iteration, pinball_loss(yv - X @ beta, tau)
+    raise NumericalError("did not converge")
+
+
 class TestQuantReg:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_is_byte_identical_to_the_first_irls_loop(self, seed):
+        rng = np.random.default_rng([seed, 27])
+        n = int(rng.integers(20, 400))
+        X = rng.uniform(size=(n, 2))
+        y = 1.0 + X @ np.array([2.0, -1.0]) + rng.normal(size=n)
+        if seed % 2:  # zero-inflated, with many tied zero residuals
+            y = np.where(rng.random(n) < 0.6, 0.0, np.rint(np.exp(y)))
+        for tau in (0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 0.975):
+            try:
+                want = irls_reference(X, y, tau)
+            except NumericalError:  # the fit must not converge either
+                with pytest.raises(NumericalError, match="did not converge"):
+                    quantreg_fit(X, y, tau)
+                continue
+            fit = quantreg_fit(X, y, tau)
+            assert fit.coefficients.tobytes() == want[0].tobytes()
+            assert (fit.iterations, repr(fit.loss)) == (want[1], repr(want[2]))
+
     def test_constant_outcome(self):
         X = np.random.default_rng(1).normal(size=(40, 2))
         model = quantreg_pair(X, np.full(40, 3.0), alpha=0.1)

@@ -504,6 +504,22 @@ class TestIntervalsCommand:
             assert float(by_id[rid]["upper"]) == INF
             assert "unbounded" in by_id[rid]["flags"]
 
+    def test_outcome_one_ulp_below_a_log1p_cutpoint_fills_its_raw_bin(self, tmp_path, capsys):
+        # log1p(0.9999999999999999) == log1p(1.0); the record still lands in
+        # bin 1 [0.0, 1.0), which therefore is not empty
+        cal, test, out = (tmp_path / f"{name}.csv" for name in ("cal", "test", "iv"))
+        rows = [(0, 0.9999999999999999, 1.5)]
+        rows += [(i, float(i), i + 0.5) for i in range(1, 40)]
+        write_csv(cal, ("row_id", "y_true", "y_pred"), rows)
+        write_csv(test, ("row_id", "y_pred"), [("a", 0.5), ("b", 3.0)])
+        assert main([
+            "intervals", "--method", "bccp-d", "--bins", "1", "--transform", "log1p",
+            "--calibration", str(cal), "--test", str(test), "--out", str(out),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "note: bin 1 [0.0, 1.0) fell back to an infinite quantile" in err
+        assert "has no calibration records" not in err
+
     def test_same_seed_byte_identical(self, two_bin_files, tmp_path):
         cal, test = two_bin_files
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

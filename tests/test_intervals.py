@@ -199,24 +199,33 @@ class TestBinPartition:
                     assert not (lo2 <= y < hi2)
 
     def test_transformed_partition(self, monkeypatch):
-        # the partition make_intervals hands calibrate on the log1p scale
+        # under log1p make_intervals hands calibrate the raw partition and
+        # the transform: scores move to the log1p scale, the bins do not
         seen = {}
 
         def spy(*args, **kwargs):
             seen.update(kwargs)
-            return calibrate(*args, **kwargs)
+            seen["cal"] = calibrate(*args, **kwargs)
+            return seen["cal"]
 
         monkeypatch.setattr(pipelines, "calibrate", spy)
         p = bins_from_cutpoints([1, 3, 8], support_min=0.0)
         y = [0.0, 0.5, 1.0, 2.0, 3.0, 7.9, 8.0, 100.0]
-        make_intervals("bccp-d", y, y, y, alpha=0.1,
-                       transform=OutcomeTransform.LOG1P, bins=p)
+        # two records per bin at alpha 0.1: every bin falls back
+        with pytest.warns(UserWarning, match="fell back to an infinite quantile") as notes:
+            make_intervals("bccp-d", y, y, y, alpha=0.1,
+                           transform=OutcomeTransform.LOG1P, bins=p)
+        assert [str(n.message) for n in notes] == [
+            f"bin {b} [{lo}, {hi}) fell back to an infinite quantile"
+            for b, (lo, hi) in enumerate(
+                [(0.0, 1.0), (1.0, 3.0), (3.0, 8.0), (8.0, INF)], 1)
+        ]
         q = seen["partition"]
-        assert q.support_min == 0.0
-        assert q.breakpoints == tuple(np.log1p([1.0, 3.0, 8.0]))
-        # bin membership is preserved under a monotone map
-        for v in y:
-            assert p.assign(v) == q.assign(np.log1p(v))
+        assert (q.support_min, q.breakpoints) == (0.0, (1.0, 3.0, 8.0))
+        assert seen["transform"] is OutcomeTransform.LOG1P
+        # bin membership is the raw outcome's
+        for v, b in zip(y, seen["cal"].bin_indices):
+            assert p.assign(v) == b
 
 
 class TestBinsFromPercentiles:

@@ -3,8 +3,8 @@
 The oracle is the per-row construction the batch kernel replaced:
 ``scp_interval`` / ``bccp_discontiguous`` / ``bccp_contiguous`` for each
 test prediction, every endpoint back-transformed on its own (0-d
-``OutcomeTransform.inverse``, exact snapping of transformed breakpoints),
-merged with ``union`` and optionally rounded with ``round_count_interval``.
+``OutcomeTransform.inverse``) and cut at the raw bin edges, then
+optionally rounded with ``round_count_interval`` and merged with ``union``.
 Endpoints must agree as floats, including the sign of zero, because the
 CSV writers print ``repr`` of each value.
 """
@@ -72,39 +72,19 @@ def oracle_rows(kind, y_cal, p_cal, p_test, alpha, transform, bins, round_counts
     clamped = p_test < floor
     p_test = np.maximum(p_test, floor)
 
-    def on_scale(raw):
-        # a raw lower bound on the method's scale: log maps 0 to -inf
-        if raw == -INF or (transform is LOG and raw <= 0):
-            return -INF
-        return float(transform.forward(raw))
-
-    cutpoints = () if bins is None else bins.breakpoints
-    partition = BinPartition(
-        tuple(float(transform.forward(b)) for b in cutpoints), on_scale(floor)
-    )
-    snap = {}
-    if transform is not IDENTITY:
-        snap = dict(zip(partition.breakpoints, cutpoints))
-        if math.isfinite(partition.support_min):
-            snap[partition.support_min] = floor
+    partition = BinPartition(() if bins is None else bins.breakpoints, floor)
     cal = calibrate(
-        transform.forward(y_cal), transform.forward(p_cal), alpha,
-        partition=partition, allow_empty_bins=True,
+        y_cal, p_cal, alpha, partition=partition, allow_empty_bins=True,
+        transform=transform,
     )
-
-    def back(v):
-        return snap[v] if v in snap else float(transform.inverse(v))
-
     sets, flags = [], []
-    for p, was_clamped in zip(transform.forward(p_test), clamped):
+    for p, was_clamped in zip(p_test, clamped):
         if kind == "scp":
             s = IntervalSet((scp_interval(p, cal),))
         elif kind == "bccp-d":
             s = bccp_discontiguous(p, cal)
         else:
             s = IntervalSet((bccp_contiguous(p, cal),))
-        if transform is not IDENTITY:
-            s = union(PredictionInterval(back(g.lower), back(g.upper)) for g in s)
         if round_counts:
             s = union(round_count_interval(g) for g in s)
         sets.append(s)
@@ -195,8 +175,8 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("round_counts", [False, True])
     @pytest.mark.parametrize("kind", ["bccp-d", "bccp-c"])
     def test_log_scale_bccp_reaches_the_comparison(self, kind, round_counts):
-        # the partition's support 0 is -inf on the log scale; no row here
-        # may end in an error, so the comparison below always runs
+        # the support 0 is outside the log's domain; no row here may end in
+        # an error, so the comparison below always runs
         rng = np.random.default_rng(11)
         y_cal = np.exp(rng.normal(1.0, 1.0, size=80))
         p_cal = y_cal * np.exp(rng.normal(0.0, 0.4, size=80))
@@ -211,6 +191,36 @@ class TestKernelMatchesOracle:
             round_counts=round_counts,
         )
         want_sets, want_flags, _ = oracle_rows(**case)
+        assert_same_rows(kernel_rows(case), want_sets, want_flags)
+
+    @settings(SETTINGS, max_examples=100, derandomize=True)
+    @given(
+        st.sampled_from([IDENTITY, LOG, LOG1P]),
+        st.sampled_from(["bccp-d", "bccp-c"]),
+        st.lists(st.sampled_from([1.0, 3.0, 5.0, 8.0, 21.0, 55.0, 149.0]),
+                 min_size=1, max_size=3, unique=True),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.1, 0.3]),
+    )
+    def test_outcomes_one_ulp_from_a_cutpoint(self, transform, kind, cuts, seed, alpha):
+        # log and log1p map some raw values one ulp below a cutpoint onto
+        # the cutpoint's image; each record must still count in its raw bin
+        cuts = sorted(cuts)
+        rng = np.random.default_rng(seed)
+        near = [float(np.nextafter(c, d)) for c in cuts for d in (0.0, INF)]
+        y_cal = np.concatenate([
+            np.repeat(near + cuts, int(rng.integers(1, 4))),
+            rng.uniform(0.1, 1.5 * cuts[-1], size=int(rng.integers(0, 30))),
+        ])
+        p_cal = y_cal * rng.uniform(0.5, 1.5, size=y_cal.size)
+        p_test = np.concatenate([near, cuts, rng.uniform(0.1, 1.5 * cuts[-1], size=6)])
+        bins = bins_from_cutpoints(cuts, 0.0)
+        case = dict(
+            kind=kind, y_cal=y_cal, p_cal=p_cal, p_test=p_test, alpha=alpha,
+            transform=transform, bins=bins, round_counts=False,
+        )
+        want_sets, want_flags, cal = oracle_rows(**case)
+        assert cal.bin_indices.tolist() == bins.assign_many(y_cal).tolist()
         assert_same_rows(kernel_rows(case), want_sets, want_flags)
 
     @SETTINGS

@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from binconformal import baselines
+from binconformal import baselines, pipelines
+from binconformal.conformal import calibrate
 from binconformal.errors import ConfigurationError, DataError
 from binconformal.intervals import BinPartition, bins_from_cutpoints
 from binconformal.models import OutcomeTransform
 from binconformal.pipelines import BINNED_KINDS, METHOD_KINDS, make_intervals
 
 LOG = OutcomeTransform.LOG
+LOG1P = OutcomeTransform.LOG1P
 
 
 def make_intervals_noting(*args, **kwargs):
@@ -123,7 +125,7 @@ def test_scp_is_bccp_d_over_the_one_bin(transform, support_min, n_cal):
 
 def test_scp_lower_bound_at_the_support_is_the_raw_support():
     # expm1(log1p(0.2)) is 0.20000000000000004; a lower bound clipped at
-    # the support snaps back to the raw 0.2, as a bin edge does
+    # the support is the raw 0.2, as at a bin edge: the cut is on the raw axis
     rng = np.random.default_rng(1)
     y = 0.2 + rng.gamma(2.0, 2.0, size=200)
     p = y * rng.uniform(0.5, 1.5, size=200)
@@ -132,6 +134,31 @@ def test_scp_lower_bound_at_the_support_is_the_raw_support():
         transform=OutcomeTransform.LOG1P, support_min=0.2,
     )
     assert result.sets.lower.ravel().tolist() == [0.2, 0.2]
+
+
+@pytest.mark.parametrize("kind", ["bccp-d", "bccp-c"])
+@pytest.mark.parametrize("transform, cutpoint", [
+    (LOG, 5.0), (LOG1P, 1.0), (LOG1P, 3.0), (LOG1P, 149.0),
+])
+def test_outcome_one_ulp_below_a_cutpoint_is_scored_in_its_raw_bin(
+    monkeypatch, kind, transform, cutpoint
+):
+    # the transform maps the raw value just below the cutpoint onto the
+    # cutpoint's image; the record still belongs to the bin below
+    below = float(np.nextafter(cutpoint, 0.0))
+    assert transform.forward(below) == transform.forward(cutpoint)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(calibrate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pipelines, "calibrate", spy)
+    y_true = np.array([0.5 * cutpoint, below, below, cutpoint, 2.0 * cutpoint] * 4)
+    bins = bins_from_cutpoints([cutpoint], 0.0)
+    make_intervals_noting(kind, y_true, y_true + 0.25, [below, cutpoint], alpha=0.1,
+                          transform=transform, bins=bins)
+    assert seen[0].bin_indices.tolist() == bins.assign_many(y_true).tolist()
 
 
 def test_baselines_bind_no_outcome_transform():
